@@ -2,21 +2,18 @@
 //! PostgreSQL functions" claim (§III, preparatory phase), extended with the
 //! flat-hot-path comparison.
 //!
-//! Four voting implementations are measured on the seeded urban workload:
+//! Two voting implementations are measured on the seeded urban workload:
 //!
-//! * `arena`     — SoA `SegmentArena` + `PackedSegmentIndex` with the
-//!   batched SIMD kernel and the lower-bound pruning ladder (the hot path),
-//! * `arena-pr4` — the same arena layout before batching/pruning landed:
-//!   box-gap filter only, scalar kernel per candidate (`arena_voting_unpruned`),
-//! * `indexed`   — the object-graph `SegmentIndex`/`RTree3D` path (what the
-//!   pipeline used before the arena landed),
-//! * `naive`     — the quadratic enumeration (the paper's baseline).
+//! * `arena` — SoA `SegmentArena` + `PackedSegmentIndex` with the batched
+//!   SIMD kernel and the lower-bound pruning ladder (the production path),
+//! * `naive` — the quadratic enumeration (the paper's baseline and the
+//!   oracle).
 //!
-//! The correctness gate asserts all four produce **bit-identical votes**
-//! and that the full pipelines agree on clusters and outliers; the bench
-//! aborts on any mismatch. Timings (including the arena-vs-indexed voting
-//! speedup and per-phase pipeline breakdowns) are informational and land in
-//! `BENCH_e1_s2t_vs_naive.json`.
+//! The correctness gate asserts both produce **bit-identical votes** and
+//! that the full pipelines agree on clusters and outliers; the bench aborts
+//! on any mismatch. Timings (including the arena-vs-naive voting speedup,
+//! the kernel-only SIMD speedup and per-phase pipeline breakdowns) are
+//! informational and land in `BENCH_e1_s2t_vs_naive.json`.
 //!
 //! Env knobs: `HERMES_BENCH_QUICK=1` shrinks the sweep for CI smoke runs;
 //! `HERMES_BENCH_DIR` redirects the JSON output.
@@ -25,18 +22,17 @@ use hermes_bench::harness::{bench, bench_pair, report, JsonReport};
 use hermes_bench::{urban_s2t_params, urban_with};
 use hermes_exec::Executor;
 use hermes_s2t::{
-    arena_voting, arena_voting_counted_with, arena_voting_unpruned, indexed_voting, naive_voting,
-    run_s2t, run_s2t_naive, PackedSegmentIndex, SegmentArena, SegmentIndex,
+    arena_voting, arena_voting_counted_with, naive_voting, run_s2t, run_s2t_naive,
+    PackedSegmentIndex, SegmentArena,
 };
 use hermes_trajectory::{mean_sync_distance_batch_at, simd_level, SimdLevel};
 
 fn main() {
     let quick = std::env::var("HERMES_BENCH_QUICK").is_ok_and(|v| v == "1");
     let params = urban_s2t_params();
-    // The first size is THE seeded urban dataset of the headline claim
-    // (arena voting ≥ 2× the pre-arena indexed path at 1 thread); the larger
-    // sizes chart how the advantage evolves as kernel work — identical in
-    // both paths — grows toward dominance.
+    // The first size is THE seeded urban dataset of the headline claim; the
+    // larger sizes chart how the advantage over the quadratic baseline
+    // grows with the collection.
     let sizes: &[usize] = if quick { &[24] } else { &[24, 48, 96, 192] };
     let iters: u32 = if quick { 5 } else { 10 };
 
@@ -48,24 +44,13 @@ fn main() {
         let trajs = &scenario.trajectories;
         let label = |kind: &str| format!("{kind}/{}", trajs.len());
 
-        // --- Correctness gate: the three voting paths must agree bit for
-        // bit before any timing is trusted.
+        // --- Correctness gate: the voting path and its oracle must agree
+        // bit for bit before any timing is trusted.
         let arena = SegmentArena::build(trajs);
         let packed = PackedSegmentIndex::build(&arena);
-        let legacy = SegmentIndex::build(trajs);
         let (via_arena, kernel) =
             arena_voting_counted_with(&arena, &packed, &params, &Executor::serial());
-        let via_pr4 = arena_voting_unpruned(&arena, &packed, &params);
-        let via_indexed = indexed_voting(trajs, &legacy, &params);
         let via_naive = naive_voting(trajs, &params);
-        assert_eq!(
-            via_arena, via_pr4,
-            "pruned/batched voting diverged from the unpruned arena reference"
-        );
-        assert_eq!(
-            via_arena, via_indexed,
-            "arena voting diverged from the indexed reference"
-        );
         assert_eq!(
             via_arena, via_naive,
             "arena voting diverged from the naive reference"
@@ -81,26 +66,14 @@ fn main() {
             arena.num_segments()
         );
 
-        // --- Voting phase only: the hot path against the pre-arena path
-        // and against its own PR 4 (unpruned, scalar-kernel) incarnation.
-        // The arena/PR 4 pair is the headline *ratio*, so it is measured in
-        // alternating rounds — machine drift then biases neither side.
-        let (s_arena_vote, s_pr4_vote) = bench_pair(
-            label("vote-arena"),
-            label("vote-arena-pr4"),
-            5,
-            (iters / 5).max(1),
-            || arena_voting(&arena, &packed, &params),
-            || arena_voting_unpruned(&arena, &packed, &params),
-        );
-        let s_indexed_vote = bench(label("vote-indexed"), iters, || {
-            indexed_voting(trajs, &legacy, &params)
+        // --- Voting phase only: the production path against its oracle.
+        let s_arena_vote = bench(label("vote-arena"), iters, || {
+            arena_voting(&arena, &packed, &params)
         });
         let s_naive_vote = bench(label("vote-naive"), iters.min(3), || {
             naive_voting(trajs, &params)
         });
-        let voting_speedup = s_indexed_vote.median_ms / s_arena_vote.median_ms.max(1e-9);
-        let pr4_speedup = s_pr4_vote.median_ms / s_arena_vote.median_ms.max(1e-9);
+        let voting_speedup = s_naive_vote.median_ms / s_arena_vote.median_ms.max(1e-9);
 
         // --- Kernel floor in isolation: the batched distance kernel against
         // one query segment, scalar lanes vs the dispatched SIMD width. Only
@@ -189,14 +162,11 @@ fn main() {
         );
         let kernel_speedup = s_kernel_scalar.median_ms / s_kernel_simd.median_ms.max(1e-9);
 
-        // --- Index construction, both layouts.
+        // --- Index construction.
         let s_arena_build = bench(label("build-arena"), iters, || {
             let a = SegmentArena::build(trajs);
             let p = PackedSegmentIndex::build(&a);
             (a.num_segments(), p.len())
-        });
-        let s_legacy_build = bench(label("build-indexed"), iters, || {
-            SegmentIndex::build(trajs).len()
         });
 
         // --- Whole pipelines with phase breakdowns (the original E1 table).
@@ -211,8 +181,7 @@ fn main() {
             vec![
                 ("segments".into(), arena.num_segments() as f64),
                 ("threads".into(), 1.0),
-                ("speedup_vs_indexed".into(), voting_speedup),
-                ("speedup_vs_pr4".into(), pr4_speedup),
+                ("speedup_vs_naive".into(), voting_speedup),
                 ("kernel_evaluated".into(), kernel.evaluated as f64),
                 ("kernel_pruned".into(), kernel.pruned as f64),
                 ("kernel_simd_speedup".into(), kernel_speedup),
@@ -221,13 +190,10 @@ fn main() {
                 ("headline".into(), if n == sizes[0] { 1.0 } else { 0.0 }),
             ],
         );
-        json.push(s_pr4_vote.clone());
         json.push(s_kernel_simd.clone());
         json.push(s_kernel_scalar.clone());
-        json.push(s_indexed_vote.clone());
         json.push(s_naive_vote.clone());
         json.push(s_arena_build.clone());
-        json.push(s_legacy_build.clone());
         json.push_with(
             s_pipeline.clone(),
             vec![
@@ -241,16 +207,11 @@ fn main() {
         json.push(s_pipeline_naive.clone());
 
         eprintln!(
-            "voting speedup (arena vs pre-PR indexed, 1 thread, {} trajs): {:.2}x",
-            trajs.len(),
-            voting_speedup
-        );
-        eprintln!(
-            "voting speedup (SIMD+pruning vs PR 4 arena, {} lanes, {} trajs): {:.2}x \
+            "voting speedup (arena vs naive, 1 thread, {} lanes, {} trajs): {:.2}x \
              (evaluated {}, pruned {})",
             simd_level().lanes(),
             trajs.len(),
-            pr4_speedup,
+            voting_speedup,
             kernel.evaluated,
             kernel.pruned
         );
@@ -261,13 +222,10 @@ fn main() {
 
         samples.extend([
             s_arena_vote,
-            s_pr4_vote,
             s_kernel_simd,
             s_kernel_scalar,
-            s_indexed_vote,
             s_naive_vote,
             s_arena_build,
-            s_legacy_build,
             s_pipeline,
             s_pipeline_naive,
         ]);

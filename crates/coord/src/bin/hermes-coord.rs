@@ -22,12 +22,11 @@
 //! listening on <addr>` announces the Prometheus endpoint the same way.
 
 use hermes_coord::{
-    parse_shard_flag, parse_shard_map, validate_shard_map, CoordServer, Coordinator,
-    FailoverPolicy, ShardSpec,
+    parse_shard_flag, parse_shard_map, validate_shard_map, Coordinator, FailoverPolicy, ShardSpec,
 };
 use hermes_exec::ExecPolicy;
 use hermes_obs::serve_metrics;
-use hermes_server::{ConnectOptions, ServerConfig};
+use hermes_server::{ConnectOptions, Server, ServerConfig};
 use std::io::Write;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -58,7 +57,8 @@ OPTIONS:
     --addr <host:port>       Upstream bind address (default 127.0.0.1:8651;
                              port 0 picks an ephemeral port)
     --port <n>               Shorthand for --addr 127.0.0.1:<n>
-    --max-connections <n>    Simultaneous upstream connection cap
+    --max-connections <n>    Simultaneous upstream connection cap, and
+                             the number of workers answering them
                              (default 64)
     --threads <n>            Fan-out/merge compute threads (default:
                              HERMES_THREADS or all cores; 1 = serial).
@@ -202,7 +202,7 @@ fn main() -> ExitCode {
     let total = coordinator.shards().len();
     eprintln!("{reachable}/{total} shard(s) reachable");
 
-    let server = match CoordServer::bind(&addr, coordinator, config) {
+    let server = match Server::bind(&addr, coordinator, config) {
         Ok(s) => s,
         Err(e) => return fail(&format!("cannot bind {addr}: {e}")),
     };
@@ -211,10 +211,10 @@ fn main() -> ExitCode {
         Err(e) => return fail(&format!("cannot resolve bound address: {e}")),
     };
     // Keep the handle alive for the life of the process; dropping it would
-    // stop the accept loop.
+    // stop the serving core.
     let _handle = match server.spawn() {
         Ok(h) => h,
-        Err(e) => return fail(&format!("cannot start the accept loop: {e}")),
+        Err(e) => return fail(&format!("cannot start the serving core: {e}")),
     };
     println!("hermes-coord listening on {bound}");
     // Keep the scrape listener alive for the life of the process.

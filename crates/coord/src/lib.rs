@@ -19,9 +19,9 @@
 //!   fan-out plus the border-merging reassembly (bit-identical to a single
 //!   node, see `docs/SHARDING.md`) for multi-shard reads, and all-or-error
 //!   broadcasts to every endpoint for writes (so replicas never diverge);
-//! - [`server`] — the upstream accept loop, `hermes-server`'s
-//!   thread-per-connection shape with the engine swapped for a
-//!   [`Coordinator`].
+//! - [`server`] — the [`Coordinator`] as a `hermes_server::Service`, so the
+//!   upstream side runs on `hermes-server`'s one serving core: pipelining,
+//!   admission control and typed backpressure, exactly as `hermes-serve`.
 //!
 //! The `hermes-coord` binary wires these together behind `--shard` /
 //! `--shard-map` flags.
@@ -30,12 +30,12 @@
 
 pub mod registry;
 pub mod router;
+#[cfg(unix)]
 pub mod server;
 pub mod shardmap;
 
 pub use registry::{CoordError, Endpoint, FailoverPolicy, ReadCall, Shard};
 pub use router::{Coordinator, ForwardSpec};
-pub use server::{CoordServer, CoordServerHandle};
 pub use shardmap::{
     parse_shard_flag, parse_shard_map, validate_shard_map, ShardMapError, ShardSpec,
 };

@@ -30,13 +30,11 @@
 //! Where each index sits in a query's life is mapped in
 //! `docs/ARCHITECTURE.md`.
 
-pub mod interval;
 pub mod opclass;
 pub mod packed;
 pub mod rtree3d;
 pub mod tree;
 
-pub use interval::{IntervalOpClass, IntervalQuery, IntervalTree};
 pub use opclass::OpClass;
 pub use packed::{axis_gap, PackedRTree};
 pub use rtree3d::{Box3OpClass, RTree3D, RangeQuery};

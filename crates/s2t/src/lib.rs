@@ -12,11 +12,10 @@
 //!      time-synchronized segment-to-trajectory distance). The hot path is
 //!      [`arena`]: a structure-of-arrays [`SegmentArena`] plus a packed STR
 //!      R-tree, voted over flat `f64` lanes with zero allocation in the
-//!      inner loop. [`voting::indexed_voting`] is the object-graph
-//!      `pg3D-Rtree` implementation (kept as the reference the arena path is
-//!      proven bit-identical against); [`voting::naive_voting`] is the
-//!      quadratic baseline the paper compares against ("corresponding
-//!      PostgreSQL functions").
+//!      inner loop — the index-pruned in-DBMS path.
+//!      [`voting::naive_voting`] is its oracle: the quadratic baseline the
+//!      paper compares against ("corresponding PostgreSQL functions"),
+//!      which the arena path is proven bit-identical to.
 //!    * [`segmentation`] splits each trajectory into sub-trajectories of
 //!      homogeneous voting (representativeness), irrespective of shape.
 //! 2. **SaCO** — *Sampling, Clustering, Outlier detection*:
@@ -43,9 +42,8 @@ pub mod segmentation;
 pub mod voting;
 
 pub use arena::{
-    arena_voting, arena_voting_counted_with, arena_voting_unpruned, arena_voting_with,
-    segment_clipped_gap2, vote_trajectory_into, ArenaVoteScratch, KernelCounters,
-    PackedSegmentIndex, SegmentArena,
+    arena_voting, arena_voting_counted_with, arena_voting_with, segment_clipped_gap2,
+    vote_trajectory_into, ArenaVoteScratch, KernelCounters, PackedSegmentIndex, SegmentArena,
 };
 pub use clustering::{cluster_around_representatives, cluster_around_representatives_with};
 pub use clustering::{Cluster, ClusterId, ClusteringResult};
@@ -57,7 +55,4 @@ pub use pipeline::{
 };
 pub use sampling::{select_representatives, select_representatives_with};
 pub use segmentation::{segment_all, segment_all_with, segment_trajectory, VotedSubTrajectory};
-pub use voting::{
-    indexed_voting, indexed_voting_with, naive_voting, naive_voting_with, SegmentIndex,
-    VotingProfile,
-};
+pub use voting::{naive_voting, naive_voting_with, VotingProfile};

@@ -85,8 +85,8 @@ fn run_pipeline(
     // Indexed voting runs on the flat hot path: the collection is flattened
     // into a SoA `SegmentArena` and STR-packed into a `PackedSegmentIndex`
     // (both timed as index build), then voted over cache-linear lanes. The
-    // votes are bit-identical to the object-graph `indexed_voting` and to
-    // `naive_voting` (see `crate::arena` for the exactness argument).
+    // votes are bit-identical to `naive_voting` (see `crate::arena` for the
+    // exactness argument).
     let t0 = Instant::now();
     let index = if use_index {
         let arena = SegmentArena::build(trajectories);

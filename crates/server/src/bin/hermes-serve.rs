@@ -29,7 +29,7 @@
 
 use hermes_core::{ExecPolicy, HermesEngine, SharedEngine};
 use hermes_obs::serve_metrics;
-use hermes_server::{Server, ServerConfig, ServerCore};
+use hermes_server::{Server, ServerConfig};
 use std::io::Write;
 use std::process::ExitCode;
 
@@ -40,8 +40,7 @@ USAGE:
     hermes-serve [--addr <host:port> | --port <n>] [--max-connections <n>]
                  [--threads <n>] [--data-dir <dir>]
                  [--metrics-addr <host:port>] [--slow-query-ms <n>]
-                 [--core <event|threaded>] [--workers <n>]
-                 [--max-pending <n>] [--deadline-ms <n>]
+                 [--workers <n>] [--max-pending <n>] [--deadline-ms <n>]
 
 OPTIONS:
     --addr <host:port>       Bind address (default 127.0.0.1:8650; port 0
@@ -50,12 +49,9 @@ OPTIONS:
                              port is announced on stdout as
                              'hermes-serve listening on <addr>'
     --max-connections <n>    Simultaneous connection cap (default 64)
-    --core <event|threaded>  Concurrency core: 'event' multiplexes every
-                             socket on one readiness loop with a bounded
-                             worker pool (default on unix); 'threaded'
-                             spawns one OS thread per connection
-    --workers <n>            Statement-executing worker threads under the
-                             event core (default: sized from the machine)
+    --workers <n>            Statement-executing worker threads behind the
+                             readiness loop (default: sized from the
+                             machine)
     --max-pending <n>        Most admitted-but-unanswered requests across
                              all connections before further pipelined
                              requests get a typed backpressure error
@@ -101,11 +97,6 @@ fn main() -> ExitCode {
             "--max-connections" => match args.next().and_then(|n| n.parse().ok()) {
                 Some(n) if n > 0 => config.max_connections = n,
                 _ => return fail("--max-connections requires a positive integer"),
-            },
-            "--core" => match args.next().as_deref() {
-                Some("event") => config.core = ServerCore::Event,
-                Some("threaded") => config.core = ServerCore::Threaded,
-                _ => return fail("--core requires 'event' or 'threaded'"),
             },
             "--workers" => match args.next().and_then(|n| n.parse().ok()) {
                 Some(n) if n > 0 => config.workers = n,
@@ -217,7 +208,6 @@ fn fail(message: &str) -> ExitCode {
 /// do async-signal-safe work, so the handler writes one byte into a
 /// self-pipe and the main thread blocks reading it — the classic self-pipe
 /// trick, built on the C library symbols std already links against.
-#[cfg(unix)]
 fn wait_for_termination() {
     use std::sync::atomic::{AtomicI32, Ordering};
 
@@ -262,13 +252,5 @@ fn wait_for_termination() {
         // n < 0 is EINTR from the very signal we are waiting for (or a
         // spurious wakeup): retry, the handler's byte is (or will be) in
         // the pipe.
-    }
-}
-
-/// Non-unix fallback: no signal plumbing, run until killed.
-#[cfg(not(unix))]
-fn wait_for_termination() {
-    loop {
-        std::thread::park();
     }
 }

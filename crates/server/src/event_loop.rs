@@ -1,5 +1,5 @@
-//! The readiness-driven server core: one poller thread multiplexing every
-//! socket, a bounded worker pool executing statements.
+//! The serving core of both binaries: one poller thread multiplexing every
+//! socket, a bounded worker pool answering requests through a [`Service`].
 //!
 //! ## Shape
 //!
@@ -12,14 +12,16 @@
 //! loop: ten thousand idle connections cost file descriptors and buffers,
 //! not OS threads.
 //!
-//! ## Sessions travel with jobs
+//! ## Connection state travels with jobs
 //!
-//! A connection's [`Session`] (and its prepared-statement table) moves into
-//! the worker with each dispatched job and comes back with the completion,
-//! so at most one statement per connection executes at a time — exactly the
-//! ordering the protocol promises — while different connections execute on
-//! different workers freely. Reads pin the engine's published snapshot
-//! epoch, so a `BUILD INDEX` on one worker never blocks queries on another.
+//! A connection's [`Service::Conn`] (the engine's session and prepared
+//! table, or the coordinator's statement table) moves into the worker with
+//! each dispatched job and comes back with the completion, so at most one
+//! statement per connection executes at a time — exactly the ordering the
+//! protocol promises — while different connections execute on different
+//! workers freely. A panic inside [`Service::answer`] is caught at this
+//! boundary: the state still comes back, the client gets an
+//! [`ErrorCode::Query`] error, and the worker lives on.
 //!
 //! ## Admission control
 //!
@@ -34,7 +36,7 @@
 //!   handshake, get a typed [`ErrorCode::Capacity`] error to their first
 //!   request, and are disconnected.
 //!
-//! Per-request deadlines are enforced in [`execute_request`]: a request that
+//! Per-request deadlines are enforced in [`answer_job`]: a request that
 //! waited out its deadline in the queue is answered with a typed
 //! [`ErrorCode::Deadline`] error without running, and one that finished too
 //! late has its result replaced by the same error.
@@ -42,29 +44,27 @@
 //! [`ErrorCode::Backpressure`]: crate::protocol::ErrorCode::Backpressure
 //! [`ErrorCode::Capacity`]: crate::protocol::ErrorCode::Capacity
 //! [`ErrorCode::Deadline`]: crate::protocol::ErrorCode::Deadline
+//! [`ErrorCode::Query`]: crate::protocol::ErrorCode::Query
 
 use crate::metrics::ServerMetrics;
 use crate::poll::{Interest, PollEvent, Poller};
 use crate::protocol::{
-    read_handshake, read_request, write_handshake, write_response, ErrorCode, Request, Response,
-    MAX_MESSAGE_BYTES,
+    decode_request_body, read_handshake, write_handshake, write_response, ErrorCode, Request,
+    Response, MAX_MESSAGE_BYTES,
 };
-use crate::server::{
-    capacity_error, execute_request, oversize_error, protocol_error, RequestEnv, Server,
-    ServerConfig,
-};
-use hermes_core::SharedEngine;
-use hermes_obs::{SpanStore, TraceContext};
-use hermes_sql::{Prepared, Session};
+use crate::server::{Server, ServerConfig, Service};
+use hermes_obs::{slow_query_line, SpanStore, TraceContext};
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Poll token of the listening socket.
 const LISTENER: usize = 0;
@@ -79,43 +79,35 @@ const FIRST_CONN: usize = 2;
 /// re-reports whatever is left).
 const READ_QUANTUM: usize = 256 * 1024;
 
-/// The connection state that travels into workers with each job: the
-/// session (whose backend pins snapshot epochs) and the wire table of
-/// prepared statements.
-struct ConnState {
-    session: Session<SharedEngine>,
-    prepared: Vec<Prepared>,
-}
-
 /// One statement dispatched to the worker pool.
-struct Job {
+struct Job<C> {
     token: usize,
-    state: Box<ConnState>,
+    state: Box<C>,
     request: Request,
     trace: Option<TraceContext>,
     received: Instant,
 }
 
-/// One finished statement on its way back to the loop: the returned session
-/// state and the fully encoded response frame.
-struct Completion {
+/// One finished statement on its way back to the loop: the returned
+/// connection state and the fully encoded response frame.
+struct Completion<C> {
     token: usize,
-    state: Box<ConnState>,
+    state: Box<C>,
     bytes: Vec<u8>,
 }
 
 /// State shared between the loop thread and the workers.
-struct WorkerShared {
+struct WorkerShared<C> {
     /// Pending jobs plus the closed flag workers exit on.
-    queue: Mutex<(VecDeque<Job>, bool)>,
+    queue: Mutex<(VecDeque<Job<C>>, bool)>,
     available: Condvar,
-    completions: Mutex<Vec<Completion>>,
+    completions: Mutex<Vec<Completion<C>>>,
     /// Write half of the wakeup pair; one byte per completion batch.
     waker: Mutex<UnixStream>,
 }
 
-impl WorkerShared {
-    fn complete(&self, completion: Completion) {
+impl<C> WorkerShared<C> {
+    fn complete(&self, completion: Completion<C>) {
         self.completions.lock().unwrap().push(completion);
         // A full pipe means wakeup bytes are already pending — that is all
         // the signal the loop needs, so the error is safely ignored.
@@ -139,7 +131,7 @@ enum Parsed {
 }
 
 /// Per-connection state owned by the loop thread.
-struct Conn {
+struct Conn<C> {
     stream: TcpStream,
     conn_id: u64,
     /// Raw inbound bytes not yet sliced into frames.
@@ -153,7 +145,7 @@ struct Conn {
     /// Whether the client's preamble has been verified.
     handshaken: bool,
     /// Present while no job is in flight; travels with the job otherwise.
-    state: Option<Box<ConnState>>,
+    state: Option<Box<C>>,
     /// Parsed requests not yet dispatched.
     queue: VecDeque<Parsed>,
     /// Over the connection cap: first request is answered with a capacity
@@ -167,7 +159,7 @@ struct Conn {
     interest: Interest,
 }
 
-impl Conn {
+impl<C> Conn<C> {
     fn desired_interest(&self) -> Interest {
         Interest {
             readable: !self.read_paused && !self.close_after_flush,
@@ -175,31 +167,40 @@ impl Conn {
         }
     }
 
-    /// Appends one encoded response frame to the write buffer, accounting
-    /// the outbound bytes the way the threaded core does (frame bytes, not
-    /// handshake bytes).
+    /// Appends a loop-side error frame (handshake, framing, admission) to
+    /// the write buffer, accounting the outbound frame bytes.
     fn push_response(&mut self, response: &Response, metrics: &ServerMetrics) {
         let before = self.write_buf.len();
-        if let Err(e) = write_response(&mut self.write_buf, response) {
-            // Only an over-cap frame can fail against a Vec; the stream is
-            // still in sync, so tell the client why.
-            self.write_buf.truncate(before);
-            metrics.query_errors.inc();
-            let _ = write_response(&mut self.write_buf, &oversize_error(&e));
-        }
+        encode(response, &mut self.write_buf);
         metrics
             .bytes_out
             .add((self.write_buf.len() - before) as u64);
     }
 }
 
+/// Appends one encoded response frame to `out`. Only a frame over the wire
+/// cap can fail against a `Vec`; it is replaced by a protocol error, so the
+/// stream stays in sync and the client learns why. Returns whether the frame
+/// that went out is an error.
+fn encode(response: &Response, out: &mut Vec<u8>) -> bool {
+    let before = out.len();
+    match write_response(out, response) {
+        Ok(_) => matches!(response, Response::Error { .. }),
+        Err(e) => {
+            out.truncate(before);
+            write_response(out, &oversize_error(&e)).expect("error frames fit the wire cap");
+            true
+        }
+    }
+}
+
 /// Loop-wide bookkeeping shared by the handler functions.
-struct Ctx {
-    engine: SharedEngine,
+struct Ctx<S: Service> {
+    service: Arc<S>,
     config: ServerConfig,
     metrics: Arc<ServerMetrics>,
     conn_registry: Arc<Mutex<Vec<(u64, TcpStream)>>>,
-    shared: Arc<WorkerShared>,
+    shared: Arc<WorkerShared<S::Conn>>,
     /// Admitted (non-rejected) live connections.
     admitted: usize,
     /// Parsed requests sitting in connection queues.
@@ -208,10 +209,42 @@ struct Ctx {
     inflight: usize,
 }
 
-impl Ctx {
+impl<S: Service> Ctx<S> {
     fn sync_gauges(&self) {
         self.metrics.pending_requests.set(self.queued as u64);
         self.metrics.inflight_queries.set(self.inflight as u64);
+    }
+}
+
+/// Builds the typed error frame for a connection turned away at the cap.
+fn capacity_error(max_connections: usize) -> Response {
+    Response::Error {
+        code: ErrorCode::Capacity,
+        message: format!("server at connection capacity ({max_connections} active)"),
+    }
+}
+
+/// Builds the typed error frame for a request that overran its deadline.
+fn deadline_error(deadline_ms: u64) -> Response {
+    Response::Error {
+        code: ErrorCode::Deadline,
+        message: format!("deadline exceeded: request not answered within {deadline_ms}ms"),
+    }
+}
+
+/// Builds the typed error frame for an unparseable or incompatible peer.
+fn protocol_error(e: &io::Error) -> Response {
+    Response::Error {
+        code: ErrorCode::Protocol,
+        message: e.to_string(),
+    }
+}
+
+/// Builds the typed error frame for a result frame over the wire cap.
+fn oversize_error(e: &io::Error) -> Response {
+    Response::Error {
+        code: ErrorCode::Protocol,
+        message: format!("result too large for the wire protocol: {e}"),
     }
 }
 
@@ -224,17 +257,17 @@ fn backpressure_error(max_pending: usize) -> Response {
     }
 }
 
-/// Runs the event core over a bound [`Server`] until shut down.
-pub(crate) fn run(server: Server) -> io::Result<()> {
+/// Runs the serving core over a bound [`Server`] until shut down.
+pub(crate) fn run<S: Service>(server: Server<S>) -> io::Result<()> {
     let Server {
         listener,
-        engine,
+        service,
         config,
         metrics,
-        registry: _registry,
         spans,
         shutdown,
         conns: conn_registry,
+        ..
     } = server;
 
     listener.set_nonblocking(true)?;
@@ -253,35 +286,24 @@ pub(crate) fn run(server: Server) -> io::Result<()> {
         waker: Mutex::new(wake_tx),
     });
 
-    let worker_count = if config.workers > 0 {
-        config.workers
-    } else {
-        thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(2)
-            .clamp(2, 8)
+    let worker_count = match config.workers {
+        0 => service.default_workers(&config),
+        n => n,
     };
     for _ in 0..worker_count {
         let shared = Arc::clone(&shared);
-        let engine = engine.clone();
-        let metrics = Arc::clone(&metrics);
-        let spans = Arc::clone(&spans);
-        let slow_query_ms = config.slow_query_ms;
-        let deadline_ms = config.deadline_ms;
-        thread::spawn(move || {
-            worker_loop(
-                &shared,
-                &engine,
-                &metrics,
-                &spans,
-                slow_query_ms,
-                deadline_ms,
-            )
-        });
+        let env = WorkerEnv {
+            service: Arc::clone(&service),
+            metrics: Arc::clone(&metrics),
+            spans: Arc::clone(&spans),
+            slow_query_ms: config.slow_query_ms,
+            deadline_ms: config.deadline_ms,
+        };
+        thread::spawn(move || worker_loop(&shared, &env));
     }
 
     let mut ctx = Ctx {
-        engine,
+        service,
         config,
         metrics,
         conn_registry,
@@ -290,7 +312,7 @@ pub(crate) fn run(server: Server) -> io::Result<()> {
         queued: 0,
         inflight: 0,
     };
-    let mut conns: HashMap<usize, Conn> = HashMap::new();
+    let mut conns: HashMap<usize, Conn<S::Conn>> = HashMap::new();
     let mut next_token = FIRST_CONN;
     let mut next_conn_id: u64 = 0;
     let mut events: Vec<PollEvent> = Vec::new();
@@ -327,22 +349,24 @@ pub(crate) fn run(server: Server) -> io::Result<()> {
     }
 
     // Stop the workers: whoever is mid-statement finishes it and exits; the
-    // loop does not wait, matching the threaded core's shutdown semantics.
+    // loop does not wait for them.
     ctx.shared.queue.lock().unwrap().1 = true;
     ctx.shared.available.notify_all();
     Ok(())
 }
 
-/// Worker thread: pull a job, answer it through the travelling session,
-/// encode the frame, hand both back to the loop.
-fn worker_loop(
-    shared: &WorkerShared,
-    engine: &SharedEngine,
-    metrics: &ServerMetrics,
-    spans: &SpanStore,
+/// What every worker needs besides the job itself.
+struct WorkerEnv<S> {
+    service: Arc<S>,
+    metrics: Arc<ServerMetrics>,
+    spans: Arc<SpanStore>,
     slow_query_ms: Option<u64>,
     deadline_ms: Option<u64>,
-) {
+}
+
+/// Worker thread: pull a job, answer it through the travelling connection
+/// state, hand the state and the encoded frame back to the loop.
+fn worker_loop<S: Service>(shared: &WorkerShared<S::Conn>, env: &WorkerEnv<S>) {
     loop {
         let job = {
             let mut guard = shared.queue.lock().unwrap();
@@ -357,27 +381,7 @@ fn worker_loop(
             }
         };
         let Some(mut job) = job else { return };
-        let env = RequestEnv {
-            engine,
-            metrics,
-            spans,
-            slow_query_ms,
-            deadline_ms,
-        };
-        let response = execute_request(
-            &env,
-            &mut job.state.session,
-            &mut job.state.prepared,
-            job.request,
-            job.trace,
-            job.received,
-        );
-        let mut bytes = Vec::new();
-        if let Err(e) = write_response(&mut bytes, &response) {
-            bytes.clear();
-            metrics.query_errors.inc();
-            let _ = write_response(&mut bytes, &oversize_error(&e));
-        }
+        let bytes = answer_job(env, &mut job.state, job.request, job.trace, job.received);
         shared.complete(Completion {
             token: job.token,
             state: job.state,
@@ -386,13 +390,82 @@ fn worker_loop(
     }
 }
 
+/// Fully answers one request and encodes its frame: deadline admission,
+/// the service's answer with panics contained, latency accounting, deadline
+/// enforcement on the way out, the slow-query log, and one served-or-error
+/// count taken after encoding. `received` is when the request was parsed
+/// off the socket — possibly well before execution starts, which is exactly
+/// what the deadline must measure.
+fn answer_job<S: Service>(
+    env: &WorkerEnv<S>,
+    state: &mut S::Conn,
+    request: Request,
+    trace: Option<TraceContext>,
+    received: Instant,
+) -> Vec<u8> {
+    let metrics = &*env.metrics;
+    let deadline = env.deadline_ms.map(|ms| (ms, Duration::from_millis(ms)));
+    let response = match deadline {
+        // Already late before executing: don't burn a worker on a result
+        // the client has been told not to wait for.
+        Some((ms, limit)) if received.elapsed() > limit => {
+            metrics.deadline_misses.inc();
+            deadline_error(ms)
+        }
+        _ => {
+            let started = Instant::now();
+            let answered = panic::catch_unwind(AssertUnwindSafe(|| {
+                env.service
+                    .answer(state, request, trace, metrics, &env.spans)
+            }));
+            let (mut response, traced) =
+                answered.unwrap_or_else(|payload| (internal_error(&*payload), None));
+            let elapsed = started.elapsed();
+            metrics.latency.record(elapsed);
+            if let Some((ms, limit)) = deadline {
+                if received.elapsed() > limit {
+                    metrics.deadline_misses.inc();
+                    response = deadline_error(ms);
+                }
+            }
+            if let (Some(threshold), Some((trace_id, statement))) = (env.slow_query_ms, traced) {
+                let ms = elapsed.as_secs_f64() * 1e3;
+                if ms >= threshold as f64 {
+                    metrics.slow_queries.inc();
+                    eprintln!("{}", slow_query_line(ms, trace_id, &statement));
+                }
+            }
+            response
+        }
+    };
+    let mut bytes = Vec::new();
+    if encode(&response, &mut bytes) {
+        metrics.query_errors.inc();
+    } else {
+        metrics.queries_served.inc();
+    }
+    bytes
+}
+
+/// The error frame answering a request whose service call panicked. It
+/// keeps the non-retryable [`ErrorCode::Query`] class: the statement may
+/// have had effects before it failed.
+fn internal_error(payload: &(dyn Any + Send)) -> Response {
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("panic");
+    Response::error(format!("internal error: {message}"))
+}
+
 /// Accepts every connection the listener has ready.
-fn accept_ready(
+fn accept_ready<S: Service>(
     listener: &TcpListener,
-    conns: &mut HashMap<usize, Conn>,
+    conns: &mut HashMap<usize, Conn<S::Conn>>,
     next_token: &mut usize,
     next_conn_id: &mut u64,
-    ctx: &mut Ctx,
+    ctx: &mut Ctx<S>,
     poller: &mut Poller,
 ) {
     loop {
@@ -433,10 +506,7 @@ fn accept_ready(
             write_buf: Vec::new(),
             write_pos: 0,
             handshaken: false,
-            state: Some(Box::new(ConnState {
-                session: Session::new(ctx.engine.clone()),
-                prepared: Vec::new(),
-            })),
+            state: Some(Box::new(ctx.service.connect())),
             queue: VecDeque::new(),
             rejected,
             read_paused: false,
@@ -472,13 +542,17 @@ fn drain_waker(wake_rx: &UnixStream) {
 }
 
 /// Folds finished jobs back into their connections and flushes.
-fn handle_completions(conns: &mut HashMap<usize, Conn>, ctx: &mut Ctx, poller: &mut Poller) {
+fn handle_completions<S: Service>(
+    conns: &mut HashMap<usize, Conn<S::Conn>>,
+    ctx: &mut Ctx<S>,
+    poller: &mut Poller,
+) {
     let done = std::mem::take(&mut *ctx.shared.completions.lock().unwrap());
     for completion in done {
         ctx.inflight -= 1;
         let token = completion.token;
         let Some(conn) = conns.get_mut(&token) else {
-            // The connection died while its statement ran; the session and
+            // The connection died while its statement ran; its state and
             // the encoded frame are simply dropped.
             continue;
         };
@@ -494,10 +568,10 @@ fn handle_completions(conns: &mut HashMap<usize, Conn>, ctx: &mut Ctx, poller: &
 }
 
 /// Reads, parses and dispatches whatever one socket has ready.
-fn handle_readable(
+fn handle_readable<S: Service>(
     token: usize,
-    conns: &mut HashMap<usize, Conn>,
-    ctx: &mut Ctx,
+    conns: &mut HashMap<usize, Conn<S::Conn>>,
+    ctx: &mut Ctx<S>,
     poller: &mut Poller,
 ) {
     let Some(conn) = conns.get_mut(&token) else {
@@ -533,10 +607,10 @@ fn handle_readable(
 }
 
 /// Flushes a socket that reported writable.
-fn handle_writable(
+fn handle_writable<S: Service>(
     token: usize,
-    conns: &mut HashMap<usize, Conn>,
-    ctx: &mut Ctx,
+    conns: &mut HashMap<usize, Conn<S::Conn>>,
+    ctx: &mut Ctx<S>,
     poller: &mut Poller,
 ) {
     if conns.contains_key(&token) {
@@ -547,7 +621,11 @@ fn handle_writable(
 /// Slices the connection's read buffer into frames: the handshake first,
 /// then length-prefixed requests, each admitted (or rejected) into the
 /// pipeline queue.
-fn parse_frames(token: usize, conns: &mut HashMap<usize, Conn>, ctx: &mut Ctx) {
+fn parse_frames<S: Service>(
+    token: usize,
+    conns: &mut HashMap<usize, Conn<S::Conn>>,
+    ctx: &mut Ctx<S>,
+) {
     let Some(conn) = conns.get_mut(&token) else {
         return;
     };
@@ -590,10 +668,12 @@ fn parse_frames(token: usize, conns: &mut HashMap<usize, Conn>, ctx: &mut Ctx) {
         if avail.len() < frame_len {
             break;
         }
-        match read_request(&mut &conn.read_buf[conn.read_pos..conn.read_pos + frame_len]) {
-            Ok((request, trace, n_in)) => {
+        // Decoded straight out of the read buffer: a multi-megabyte ingest
+        // frame is never copied a second time.
+        match decode_request_body(&avail[4..frame_len]) {
+            Ok((request, trace)) => {
                 conn.read_pos += frame_len;
-                ctx.metrics.bytes_in.add(n_in);
+                ctx.metrics.bytes_in.add(frame_len as u64);
                 let received = Instant::now();
                 if conn.rejected {
                     conn.queue.push_back(Parsed::Reject {
@@ -626,7 +706,7 @@ fn parse_frames(token: usize, conns: &mut HashMap<usize, Conn>, ctx: &mut Ctx) {
                 // and drop the connection rather than guessing at a resync
                 // point.
                 ctx.metrics.query_errors.inc();
-                let resp = protocol_error(&e);
+                let resp = protocol_error(&e.into());
                 conn.push_response(&resp, &ctx.metrics);
                 conn.close_after_flush = true;
                 break;
@@ -636,21 +716,24 @@ fn parse_frames(token: usize, conns: &mut HashMap<usize, Conn>, ctx: &mut Ctx) {
     if conn.read_pos > 0 {
         conn.read_buf.drain(..conn.read_pos);
         conn.read_pos = 0;
+        // A multi-megabyte frame must not pin its buffer for the life of
+        // the connection (or during the statement it carries).
+        conn.read_buf.shrink_to(READ_QUANTUM);
     }
 }
 
 /// Dispatches queued work, flushes outbound bytes, resumes paused reads and
 /// reconciles poller interest — the common tail of every connection event.
-fn service_conn(
+fn service_conn<S: Service>(
     token: usize,
-    conns: &mut HashMap<usize, Conn>,
-    ctx: &mut Ctx,
+    conns: &mut HashMap<usize, Conn<S::Conn>>,
+    ctx: &mut Ctx<S>,
     poller: &mut Poller,
 ) {
     let Some(conn) = conns.get_mut(&token) else {
         return;
     };
-    // Dispatch at most one job (the session travels with it); emit any
+    // Dispatch at most one job (the connection state travels with it); emit any
     // rejections ahead of it in pipeline order.
     while conn.state.is_some() && !conn.close_after_flush {
         match conn.queue.pop_front() {
@@ -703,7 +786,7 @@ fn service_conn(
 }
 
 /// Writes as much buffered output as the socket accepts right now.
-fn flush(conn: &mut Conn) -> io::Result<()> {
+fn flush<C>(conn: &mut Conn<C>) -> io::Result<()> {
     while conn.write_pos < conn.write_buf.len() {
         match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
             Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
@@ -715,6 +798,7 @@ fn flush(conn: &mut Conn) -> io::Result<()> {
     }
     if conn.write_pos >= conn.write_buf.len() {
         conn.write_buf.clear();
+        conn.write_buf.shrink_to(READ_QUANTUM);
         conn.write_pos = 0;
     }
     Ok(())
@@ -722,7 +806,12 @@ fn flush(conn: &mut Conn) -> io::Result<()> {
 
 /// Removes a connection from the poller and the map, then settles its
 /// bookkeeping.
-fn close_conn(token: usize, conns: &mut HashMap<usize, Conn>, ctx: &mut Ctx, poller: &mut Poller) {
+fn close_conn<S: Service>(
+    token: usize,
+    conns: &mut HashMap<usize, Conn<S::Conn>>,
+    ctx: &mut Ctx<S>,
+    poller: &mut Poller,
+) {
     let Some(conn) = conns.remove(&token) else {
         return;
     };
@@ -733,7 +822,7 @@ fn close_conn(token: usize, conns: &mut HashMap<usize, Conn>, ctx: &mut Ctx, pol
 /// Settles a closed connection's bookkeeping: live-connection accounting
 /// and the pending requests that will now never run. An in-flight job is
 /// left to finish — its completion finds no connection and is dropped.
-fn finish_conn(conn: Conn, ctx: &mut Ctx) {
+fn finish_conn<S: Service>(conn: Conn<S::Conn>, ctx: &mut Ctx<S>) {
     if !conn.rejected {
         ctx.metrics.connections_active.dec();
         ctx.admitted -= 1;

@@ -10,12 +10,15 @@
 //!   [`Frame`](hermes_sql::Frame) results, with typed error frames
 //!   ([`ErrorCode`]) for admission-control rejections (layouts in
 //!   `docs/PROTOCOL.md`);
-//! - [`server`] — a TCP server where every connection gets its own
-//!   [`Session`](hermes_sql::Session) over one shared engine publishing
-//!   immutable snapshot epochs. The default core on unix is a
-//!   readiness-driven event loop (pipelining, per-query deadlines, bounded
-//!   in-flight work); a thread-per-connection core remains as fallback and
-//!   baseline. Counters in [`metrics`] surface through `SHOW STATS`;
+//! - [`server`] — the one serving core of `hermes-serve` and
+//!   `hermes-coord`: a readiness-driven event loop (pipelining, admission
+//!   control with typed backpressure, per-query deadlines, panic
+//!   containment) in front of a [`Service`]. The engine service gives every
+//!   connection its own [`Session`](hermes_sql::Session) over one shared
+//!   engine publishing immutable snapshot epochs; the coordinator service
+//!   lives in `hermes-coord`. Counters in [`metrics`] surface through
+//!   `SHOW STATS`. Unix-only, like the poller under it (the protocol
+//!   and the client stay portable);
 //! - [`client`] — [`HermesClient`], the blocking client library used by
 //!   `hermes-cli --connect`, the tests and the benchmarks, now with
 //!   explicit [`client::HermesClient::send`]/[`client::HermesClient::receive`]
@@ -43,6 +46,7 @@ pub mod metrics;
 #[cfg(unix)]
 mod poll;
 pub mod protocol;
+#[cfg(unix)]
 pub mod server;
 pub mod shard;
 pub mod traceview;
@@ -52,5 +56,6 @@ pub use metrics::{LatencyHistogram, ServerMetrics, LATENCY_BUCKETS_US};
 pub use protocol::{
     DecodeError, ErrorCode, PartialInfo, Request, Response, MAX_MESSAGE_BYTES, PROTOCOL_VERSION,
 };
-pub use server::{Server, ServerConfig, ServerCore, ServerHandle};
+#[cfg(unix)]
+pub use server::{EngineConn, Server, ServerConfig, ServerHandle, Service};
 pub use traceview::{sniff_trace_text, trace_outcome, traces_outcome, TraceQuery};

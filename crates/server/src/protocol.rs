@@ -1106,6 +1106,15 @@ pub fn read_request(r: &mut impl Read) -> io::Result<(Request, Option<TraceConte
     Ok((req, trace, n))
 }
 
+/// Decodes one request from a complete frame body — the kind byte plus the
+/// payload, length prefix stripped — in place, without the copy
+/// [`read_request`] makes. `body` must not be empty.
+pub(crate) fn decode_request_body(
+    body: &[u8],
+) -> Result<(Request, Option<TraceContext>), DecodeError> {
+    decode_request(body[0], &body[1..])
+}
+
 /// Writes one response, returning the bytes put on the wire.
 pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<u64> {
     let (kind, payload) = encode_response(resp);

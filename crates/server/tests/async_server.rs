@@ -1,15 +1,18 @@
-//! End-to-end tests of the readiness-driven server core: request
+//! End-to-end tests of the readiness-driven serving core: request
 //! pipelining, snapshot-epoch reads racing `BUILD INDEX`, per-request
-//! deadlines, admission-control backpressure and recovery, and the
-//! stalled-client regression.
+//! deadlines, admission-control backpressure and recovery, the
+//! stalled-client regression, and — through a fake [`Service`] — panic
+//! containment and the accounting of oversized results.
 
 use hermes_core::SharedEngine;
+use hermes_obs::{SpanStore, TraceContext};
 use hermes_server::{
-    ClientError, ErrorCode, HermesClient, Request, Response, Server, ServerConfig, ServerCore,
-    ServerHandle,
+    ClientError, ErrorCode, HermesClient, Request, Response, Server, ServerConfig, ServerHandle,
+    ServerMetrics, Service, MAX_MESSAGE_BYTES,
 };
-use hermes_sql::Value;
+use hermes_sql::{Frame, Value, ValueType};
 use hermes_trajectory::{Point, Timestamp, Trajectory};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -47,10 +50,7 @@ const QUT: &str = "SELECT QUT(flights, 0, 1800000, 0.35, 0.05, 120000, 400, 1800
 
 #[test]
 fn pipelined_prepared_statements_interleave_on_one_connection() {
-    let server = spawn_server(ServerConfig {
-        core: ServerCore::Event,
-        ..ServerConfig::default()
-    });
+    let server = spawn_server(ServerConfig::default());
     let mut client = HermesClient::connect(server.addr()).unwrap();
     client.query(BUILD).unwrap();
     let range = client.prepare("SELECT RANGE(flights, $1, $2);").unwrap();
@@ -107,7 +107,6 @@ fn pipelined_prepared_statements_interleave_on_one_connection() {
 #[test]
 fn reads_pin_the_published_epoch_while_an_index_builds() {
     let server = spawn_server(ServerConfig {
-        core: ServerCore::Event,
         workers: 4,
         ..ServerConfig::default()
     });
@@ -160,7 +159,6 @@ fn reads_pin_the_published_epoch_while_an_index_builds() {
 #[test]
 fn deadline_overrun_is_a_typed_error() {
     let server = spawn_server(ServerConfig {
-        core: ServerCore::Event,
         deadline_ms: Some(150),
         workers: 2,
         ..ServerConfig::default()
@@ -194,7 +192,6 @@ fn deadline_overrun_is_a_typed_error() {
 #[test]
 fn backpressure_floods_get_typed_errors_and_drain() {
     let server = spawn_server(ServerConfig {
-        core: ServerCore::Event,
         workers: 1,
         max_pending: 2,
         ..ServerConfig::default()
@@ -246,7 +243,6 @@ fn backpressure_floods_get_typed_errors_and_drain() {
 #[test]
 fn stalled_client_cannot_block_build_index() {
     let server = spawn_server(ServerConfig {
-        core: ServerCore::Event,
         workers: 2,
         ..ServerConfig::default()
     });
@@ -283,16 +279,98 @@ fn stalled_client_cannot_block_build_index() {
     server.shutdown();
 }
 
-#[test]
-fn threaded_core_remains_available_and_compatible() {
-    let server = spawn_server(ServerConfig {
-        core: ServerCore::Threaded,
+/// A stand-in service: `Query { sql }` answers with the number of queries
+/// the connection has sent so far, except for two trigger texts — `panic`
+/// panics inside the service, `huge` returns a rows frame over the wire cap.
+struct Fake;
+
+impl Service for Fake {
+    type Conn = u64;
+
+    fn connect(&self) -> u64 {
+        0
+    }
+
+    fn answer(
+        &self,
+        seen: &mut u64,
+        request: Request,
+        _trace: Option<TraceContext>,
+        _metrics: &ServerMetrics,
+        _spans: &Arc<SpanStore>,
+    ) -> (Response, Option<(u64, String)>) {
+        let Request::Query { sql } = request else {
+            return (Response::error("fake service answers queries only"), None);
+        };
+        *seen += 1;
+        match sql.as_str() {
+            "panic" => panic!("fake service blew up"),
+            "huge" => {
+                let mut frame = Frame::with_columns(&[("blob", ValueType::Text)]);
+                let blob = "x".repeat(MAX_MESSAGE_BYTES as usize + 1);
+                frame.push_row(vec![Value::Text(blob)]).unwrap();
+                (Response::Rows { frame, stats: None }, None)
+            }
+            _ => (Response::Count(*seen), None),
+        }
+    }
+}
+
+fn spawn_fake() -> ServerHandle<Fake> {
+    let config = ServerConfig {
+        workers: 1,
         ..ServerConfig::default()
-    });
+    };
+    Server::bind("127.0.0.1:0", Fake, config)
+        .unwrap()
+        .spawn()
+        .unwrap()
+}
+
+fn ask(client: &mut HermesClient, sql: &str) -> Response {
+    client
+        .exchange(&Request::Query { sql: sql.into() })
+        .expect("transport")
+}
+
+#[test]
+fn a_panicking_request_is_answered_and_the_worker_survives() {
+    let server = spawn_fake();
+    let mut first = HermesClient::connect(server.addr()).unwrap();
+    assert!(matches!(ask(&mut first, "hello"), Response::Count(1)));
+    match ask(&mut first, "panic") {
+        Response::Error { code, message } => {
+            assert_eq!(code, ErrorCode::Query, "{message}");
+            assert_eq!(message, "internal error: fake service blew up");
+        }
+        other => panic!("expected an internal error, got {other:?}"),
+    }
+    // The lone worker is alive and the connection state came back: the
+    // same connection keeps counting, and a second connection is served.
+    assert!(matches!(ask(&mut first, "again"), Response::Count(3)));
+    let mut second = HermesClient::connect(server.addr()).unwrap();
+    assert!(matches!(ask(&mut second, "hello"), Response::Count(1)));
+    assert!(first.is_clean() && second.is_clean());
+    server.shutdown();
+}
+
+#[test]
+fn an_oversized_result_counts_once_as_an_error() {
+    let server = spawn_fake();
+    let metrics = server.metrics();
     let mut client = HermesClient::connect(server.addr()).unwrap();
-    client.query(BUILD).unwrap();
-    let qut = client.query(QUT).unwrap();
-    assert!(qut.num_rows() >= 1);
-    assert!(qut.stats().is_some());
+    assert!(matches!(ask(&mut client, "warm-up"), Response::Count(1)));
+    let (served, errors) = (metrics.queries_served.get(), metrics.query_errors.get());
+    match ask(&mut client, "huge") {
+        Response::Error { code, message } => {
+            assert_eq!(code, ErrorCode::Protocol, "{message}");
+            assert!(message.contains("too large"), "{message}");
+        }
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+    assert_eq!(metrics.queries_served.get(), served, "served +0");
+    assert_eq!(metrics.query_errors.get(), errors + 1, "errors +1");
+    // The stream stayed in sync.
+    assert!(matches!(ask(&mut client, "after"), Response::Count(3)));
     server.shutdown();
 }

@@ -1,11 +1,17 @@
 //! End-to-end tests of the network subsystem: round trips over real TCP
 //! sockets, concurrent readers racing an index build, per-connection prepared
-//! statements, the connection cap and the `SHOW STATS` scopes.
+//! statements, the connection cap (on both services) and the `SHOW STATS`
+//! scopes.
+
+mod common;
 
 use hermes_core::SharedEngine;
-use hermes_server::{ClientError, HermesClient, Server, ServerConfig, ServerHandle};
+use hermes_server::{
+    ClientError, ErrorCode, HermesClient, Server, ServerConfig, ServerHandle, ServerMetrics,
+};
 use hermes_sql::{CommandTag, Value};
 use hermes_trajectory::{Point, Timestamp, Trajectory};
+use std::net::SocketAddr;
 use std::thread;
 
 fn traj(id: u64, y: f64, t0: i64) -> Trajectory {
@@ -179,30 +185,47 @@ fn prepared_statements_are_isolated_per_connection() {
     server.shutdown();
 }
 
-#[test]
-fn connection_cap_rejects_excess_clients() {
-    let server = spawn_server(ServerConfig {
+fn capped() -> ServerConfig {
+    ServerConfig {
         max_connections: 2,
         ..ServerConfig::default()
-    });
-    let mut c1 = HermesClient::connect(server.addr()).unwrap();
-    let mut c2 = HermesClient::connect(server.addr()).unwrap();
+    }
+}
+
+/// The connection-cap gate, run against both services: the third client
+/// gets a typed `Capacity` error and the admitted two keep working.
+fn assert_cap_rejects_excess_clients(addr: SocketAddr, metrics: &ServerMetrics) {
+    let mut c1 = HermesClient::connect(addr).unwrap();
+    let mut c2 = HermesClient::connect(addr).unwrap();
     // Force both connections through the accept loop before the third tries.
     c1.query("SHOW DATASETS;").unwrap();
     c2.query("SHOW DATASETS;").unwrap();
 
-    let mut c3 = HermesClient::connect(server.addr()).unwrap();
+    let mut c3 = HermesClient::connect(addr).unwrap();
     let err = c3.query("SHOW DATASETS;").unwrap_err();
     assert!(
-        matches!(err, ClientError::Server { ref message, .. } if message.contains("capacity")),
+        matches!(err, ClientError::Server { code: ErrorCode::Capacity, ref message }
+            if message.contains("capacity")),
         "{err}"
     );
-    assert_eq!(server.metrics().connections_rejected.get(), 1);
+    assert_eq!(metrics.connections_rejected.get(), 1);
 
     // Admitted clients keep working, and capacity frees up on disconnect.
     drop(c2);
     assert_eq!(c1.query("SHOW DATASETS;").unwrap().num_rows(), 1);
+}
+
+#[test]
+fn connection_cap_rejects_excess_clients() {
+    let server = spawn_server(capped());
+    assert_cap_rejects_excess_clients(server.addr(), &server.metrics());
     server.shutdown();
+}
+
+#[test]
+fn coordinator_connection_cap_rejects_excess_clients() {
+    let (_shard, coord) = common::spawn_coordinator(capped());
+    assert_cap_rejects_excess_clients(coord.addr(), &coord.metrics());
 }
 
 #[test]

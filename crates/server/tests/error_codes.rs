@@ -5,16 +5,21 @@
 //! must keep its stream bookkeeping honest: in-order responses, `Error`
 //! frames as values in their slot, and [`HermesClient::is_clean`] turning
 //! false the moment a stream owes responses, tears mid-frame, or receives a
-//! `Capacity` goodbye.
+//! `Capacity` goodbye. Both services behind the serving core answer a
+//! malformed frame with a `Protocol` error.
+
+mod common;
 
 use hermes_core::SharedEngine;
 use hermes_server::protocol::{
     read_handshake, read_response, write_handshake, write_request, write_response, Request,
     Response,
 };
-use hermes_server::{ClientError, ErrorCode, HermesClient, Server, ServerConfig, ServerHandle};
+use hermes_server::{
+    ClientError, ErrorCode, HermesClient, Server, ServerConfig, ServerHandle, ServerMetrics,
+};
 use std::io::{Read, Write};
-use std::net::TcpListener;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 
 const ALL_CODES: [ErrorCode; 5] = [
     ErrorCode::Query,
@@ -248,6 +253,46 @@ fn a_capacity_goodbye_poisons_the_stream() {
          be reused"
     );
     refuser.join().unwrap();
+}
+
+/// The malformed-frame gate, run against both services: a frame with an
+/// impossible length and a frame that does not decode are each answered
+/// with one typed `Protocol` error, after which the server hangs up.
+fn assert_malformed_frames_get_protocol_errors(addr: SocketAddr, metrics: &ServerMetrics) {
+    let errors = metrics.query_errors.get();
+    let zero_length: &[u8] = &[0, 0, 0, 0];
+    let unknown_kind: &[u8] = &[0, 0, 0, 1, 0xFF];
+    for frame in [zero_length, unknown_kind] {
+        let mut conn = TcpStream::connect(addr).unwrap();
+        read_handshake(&mut conn).unwrap();
+        write_handshake(&mut conn).unwrap();
+        conn.write_all(frame).unwrap();
+        match read_response(&mut conn).expect("an error frame, not a dropped connection") {
+            (Response::Error { code, message }, _) => {
+                assert_eq!(code, ErrorCode::Protocol, "{frame:?}: {message}");
+            }
+            (other, _) => panic!("{frame:?}: expected a protocol error, got {other:?}"),
+        }
+        let mut rest = Vec::new();
+        conn.read_to_end(&mut rest).unwrap();
+        assert!(
+            rest.is_empty(),
+            "{frame:?}: the server closes after the error"
+        );
+    }
+    assert_eq!(metrics.query_errors.get(), errors + 2);
+}
+
+#[test]
+fn malformed_frames_get_protocol_errors() {
+    let server = spawn_server();
+    assert_malformed_frames_get_protocol_errors(server.addr(), &server.metrics());
+}
+
+#[test]
+fn coordinator_malformed_frames_get_protocol_errors() {
+    let (_shard, coord) = common::spawn_coordinator(ServerConfig::default());
+    assert_malformed_frames_get_protocol_errors(coord.addr(), &coord.metrics());
 }
 
 /// Requests also frame cleanly — the pipelined writer puts each request on

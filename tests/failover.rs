@@ -14,9 +14,7 @@
 mod common;
 
 use common::faultproxy::{Dir, Fault, FaultProxy};
-use hermes::coord::{
-    validate_shard_map, CoordServer, CoordServerHandle, Coordinator, FailoverPolicy, ShardSpec,
-};
+use hermes::coord::{validate_shard_map, Coordinator, FailoverPolicy, ShardSpec};
 use hermes::core::{HermesEngine, SharedEngine};
 use hermes::exec::ExecPolicy;
 use hermes::server::protocol::write_response;
@@ -69,7 +67,7 @@ struct ReplicatedTopology {
     /// Backing `hermes-serve` processes, `servers[shard][replica]`.
     servers: Vec<Vec<ServerHandle>>,
     proxies: Vec<Vec<FaultProxy>>,
-    coord: CoordServerHandle,
+    coord: ServerHandle<Coordinator>,
 }
 
 /// Connection options tuned for fault tests: no dial retries (the ladder is
@@ -141,7 +139,7 @@ fn spawn_replicated(
     // shard partials genuinely in flight at the same time.
     let policy = ExecPolicy::new(2).expect("two fan-out threads");
     let coordinator = Coordinator::with_failover(specs, opts, policy, failover);
-    let coord = CoordServer::bind("127.0.0.1:0", coordinator, ServerConfig::default())
+    let coord = Server::bind("127.0.0.1:0", coordinator, ServerConfig::default())
         .expect("bind coordinator")
         .spawn()
         .expect("spawn coordinator");

@@ -184,13 +184,8 @@ pub struct Shard {
 }
 
 impl Shard {
-    /// Creates the registry entry with the default [`FailoverPolicy`]; no
-    /// connection is attempted until the first call (or [`Shard::probe`]).
-    pub fn new(spec: ShardSpec, opts: ConnectOptions) -> Shard {
-        Shard::with_policy(spec, opts, FailoverPolicy::default())
-    }
-
-    /// Creates the registry entry with an explicit [`FailoverPolicy`].
+    /// Creates the registry entry with an explicit [`FailoverPolicy`]; no
+    /// connection is attempted until the first call or health probe.
     pub fn with_policy(spec: ShardSpec, opts: ConnectOptions, policy: FailoverPolicy) -> Shard {
         let endpoints = spec
             .endpoints()
@@ -242,15 +237,6 @@ impl Shard {
     /// Hedged duplicates fired / hedged duplicates that won the race.
     pub fn hedge_counts(&self) -> (u64, u64) {
         (self.hedges_fired.get(), self.hedges_won.get())
-    }
-
-    /// Health probe: one cheap round trip (`SHOW THREADS;`) per endpoint.
-    /// Updates every liveness flag and returns the shard-level result.
-    pub fn probe(&self) -> bool {
-        for idx in 0..self.endpoints.len() {
-            let _ = self.on_endpoint(idx, |c| c.query("SHOW THREADS;").map(|_| ()));
-        }
-        self.is_alive()
     }
 
     fn named(&self, addr: &str, detail: String) -> CoordError {
@@ -314,15 +300,6 @@ impl Shard {
                 Err(self.named(&endpoint.addr, e.to_string()))
             }
         }
-    }
-
-    /// Runs `f` over a pooled connection to the primary. Kept for callers
-    /// that predate replica sets; reads should use [`Shard::call`].
-    pub fn with_conn<T>(
-        &self,
-        f: impl FnOnce(&mut HermesClient) -> Result<T, ClientError>,
-    ) -> Result<T, CoordError> {
-        self.on_endpoint(0, f)
     }
 
     /// The **read** path: executes `call` with failover across the replica
@@ -684,8 +661,10 @@ mod tests {
 
     #[test]
     fn unreachable_shard_yields_a_named_error_and_goes_dead() {
-        let shard = Shard::new(spec(), opts());
-        let err = shard.with_conn(|c| c.query("SHOW THREADS;")).unwrap_err();
+        let shard = Shard::with_policy(spec(), opts(), FailoverPolicy::default());
+        let err = shard
+            .on_endpoint(0, |c| c.query("SHOW THREADS;"))
+            .unwrap_err();
         match &err {
             CoordError::Shard { name, addr, .. } => {
                 assert_eq!(name, "lonely");
@@ -695,7 +674,12 @@ mod tests {
         }
         assert!(err.to_string().starts_with("shard 'lonely' (127.0.0.1:1):"));
         assert!(!shard.is_alive());
-        assert!(!shard.probe());
+        // Probing the replica too (as `Coordinator::probe_all` does) leaves
+        // the shard dead.
+        assert!(shard
+            .on_endpoint(1, |c| c.query("SHOW THREADS;").map(|_| ()))
+            .is_err());
+        assert!(!shard.is_alive());
         let rows = shard.stat_rows();
         assert!(rows.contains(&("alive".to_string(), 0)));
         assert!(rows.contains(&("endpoints".to_string(), 2)));

@@ -114,16 +114,29 @@ impl UrbanScenarioBuilder {
     }
 
     /// An L-shaped route between two random grid intersections.
+    ///
+    /// Both legs have nonzero length: a repeated coordinate steps one block
+    /// forward, or back when it sits on the last grid line (`g >= 2`, so
+    /// the step stays on the grid). A zero-length leg would repeat a
+    /// timestamp and make the trajectory invalid.
     fn random_route(&self, rng: &mut SplitMix64, g: usize) -> [(f64, f64); 3] {
         let b = self.block_size;
+        let last = (g - 1) as f64 * b;
+        let step = |v: f64| {
+            let forward = (v + b).min(last);
+            if forward == v {
+                v - b
+            } else {
+                forward
+            }
+        };
         let (x0, y0) = (rng.index(g) as f64 * b, rng.index(g) as f64 * b);
         let (mut x1, mut y1) = (rng.index(g) as f64 * b, rng.index(g) as f64 * b);
-        // Ensure the route actually moves on both axes.
         if x1 == x0 {
-            x1 = (x0 + b).min((g - 1) as f64 * b);
+            x1 = step(x0);
         }
         if y1 == y0 {
-            y1 = (y0 + b).min((g - 1) as f64 * b);
+            y1 = step(y0);
         }
         [(x0, y0), (x1, y0), (x1, y1)]
     }
@@ -223,6 +236,25 @@ mod tests {
             .windows(2)
             .any(|w| (w[1].t - w[0].t).millis() >= b.dwell_ms);
         assert!(has_dwell, "expected a dwell gap in the sampled trajectory");
+    }
+
+    /// Every seed builds, including the ones whose routes start on the last
+    /// grid line: a zero-length leg there would repeat a timestamp and make
+    /// `build` panic.
+    #[test]
+    fn every_seed_builds_at_192_vehicles() {
+        for seed in 0..100 {
+            let s = UrbanScenarioBuilder {
+                seed,
+                grid_size: 12,
+                num_corridors: 3,
+                vehicles_per_corridor: 48,
+                num_random_vehicles: 48,
+                ..UrbanScenarioBuilder::default()
+            }
+            .build();
+            assert_eq!(s.trajectories.len(), 192, "seed {seed}");
+        }
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //! * [`packed`] — a static, structure-of-arrays [`PackedRTree`] for
 //!   read-mostly hot paths: STR-packed into flat lanes, queried with zero
 //!   per-query allocation (the S2T voting index and the packed base of the
-//!   ReTraTree's sub-chunk leaf indexes).
+//!   ReTraTree's sub-chunk leaf indexes). Its traversals are plain scalar
+//!   loops; `docs/KERNELS.md` records why the probe has no SIMD width.
 //!
 //! [`Mbb`]: hermes_trajectory::Mbb
 //!

@@ -17,7 +17,7 @@
 //!
 //! [`RTree3D`]: crate::RTree3D
 
-use hermes_trajectory::{simd_level, Mbb, SimdLevel, TimeInterval, Timestamp};
+use hermes_trajectory::{Mbb, TimeInterval, Timestamp};
 
 /// Node fanout of the packed tree. Matches the GiST node capacity so packed
 /// and incremental trees have comparable shapes.
@@ -33,8 +33,7 @@ const NODE_CAP: usize = 16;
 /// exactly one of `b_min - a_max` / `a_min - b_max` is positive when the
 /// intervals are disjoint, both are `<= 0.0` when they overlap, and equal
 /// finite operands subtract to `+0.0` — so the selected value is identical
-/// to the branchy three-case form, bit for bit. The SIMD leaf scan emits
-/// this same max-chain with packed ops.
+/// to the branchy three-case form, bit for bit.
 #[inline]
 pub fn axis_gap(a_min: f64, a_max: f64, b_min: f64, b_max: f64) -> f64 {
     let lo = b_min - a_max;
@@ -59,9 +58,8 @@ struct NodeRef {
     leaf: bool,
 }
 
-/// One ball-candidate query, prepared once per traversal: exact `i64`
-/// temporal bounds for node descent and the survivor recheck, outward-
-/// rounded `f64` bounds for the packed temporal prefilter, squared radius.
+/// One ball-candidate query, prepared once per traversal: the query box with
+/// its exact `i64` temporal bounds, and the squared radius.
 struct BallQuery {
     x0: f64,
     x1: f64,
@@ -69,8 +67,6 @@ struct BallQuery {
     y1: f64,
     t0: i64,
     t1: i64,
-    t0f: f64,
-    t1f: f64,
     r2: f64,
 }
 
@@ -89,55 +85,12 @@ pub struct PackedRTree<V> {
     it: Vec<[i64; 2]>,
     ixy: Vec<[f64; 4]>,
     values: Vec<V>,
-    // Transposed item bound lanes for the SIMD leaf scan: one contiguous
-    // `f64` lane per bound so a leaf's items are tested four at a time with
-    // packed loads. `st0`/`st1` are the temporal bounds widened to `f64`
-    // with outward rounding — a conservative prefilter (never rejects a true
-    // candidate; the scan rechecks survivors against the exact `i64` lanes).
-    sx0: Vec<f64>,
-    sx1: Vec<f64>,
-    sy0: Vec<f64>,
-    sy1: Vec<f64>,
-    st0: Vec<f64>,
-    st1: Vec<f64>,
     // Node slabs. Leaves come first, then each internal level, root last.
     nt: Vec<[i64; 2]>,
     nxy: Vec<[f64; 4]>,
-    // Transposed node bound lanes for the SIMD child scan, mirroring the
-    // item slabs: one contiguous `f64` lane per bound (children of a node
-    // are contiguous node ids, so a node's children are tested four at a
-    // time with packed loads). `nst0`/`nst1` carry the outward-rounded
-    // temporal prefilter; survivors are rechecked against the exact `nt`.
-    nsx0: Vec<f64>,
-    nsx1: Vec<f64>,
-    nsy0: Vec<f64>,
-    nsy1: Vec<f64>,
-    nst0: Vec<f64>,
-    nst1: Vec<f64>,
     nodes: Vec<NodeRef>,
     root: usize,
     height: usize,
-}
-
-/// `t` as `f64`, rounded toward `-∞` (exact for every `|t| < 2^53`, which
-/// covers any millisecond timestamp this engine produces).
-fn t_down(t: i64) -> f64 {
-    let f = t as f64;
-    if f as i128 > t as i128 {
-        f.next_down()
-    } else {
-        f
-    }
-}
-
-/// `t` as `f64`, rounded toward `+∞`.
-fn t_up(t: i64) -> f64 {
-    let f = t as f64;
-    if (f as i128) < t as i128 {
-        f.next_up()
-    } else {
-        f
-    }
 }
 
 impl<V> PackedRTree<V> {
@@ -147,20 +100,8 @@ impl<V> PackedRTree<V> {
             it: Vec::new(),
             ixy: Vec::new(),
             values: Vec::new(),
-            sx0: Vec::new(),
-            sx1: Vec::new(),
-            sy0: Vec::new(),
-            sy1: Vec::new(),
-            st0: Vec::new(),
-            st1: Vec::new(),
             nt: Vec::new(),
             nxy: Vec::new(),
-            nsx0: Vec::new(),
-            nsx1: Vec::new(),
-            nsy0: Vec::new(),
-            nsy1: Vec::new(),
-            nst0: Vec::new(),
-            nst1: Vec::new(),
             nodes: Vec::new(),
             root: 0,
             height: 0,
@@ -229,20 +170,8 @@ impl<V> PackedRTree<V> {
             it: Vec::with_capacity(n),
             ixy: Vec::with_capacity(n),
             values: Vec::with_capacity(n),
-            sx0: Vec::with_capacity(n),
-            sx1: Vec::with_capacity(n),
-            sy0: Vec::with_capacity(n),
-            sy1: Vec::with_capacity(n),
-            st0: Vec::with_capacity(n),
-            st1: Vec::with_capacity(n),
             nt: Vec::new(),
             nxy: Vec::new(),
-            nsx0: Vec::new(),
-            nsx1: Vec::new(),
-            nsy0: Vec::new(),
-            nsy1: Vec::new(),
-            nst0: Vec::new(),
-            nst1: Vec::new(),
             nodes: Vec::new(),
             root: 0,
             height: 1,
@@ -250,12 +179,6 @@ impl<V> PackedRTree<V> {
         for (mbb, value) in items {
             tree.it.push([mbb.t_min.millis(), mbb.t_max.millis()]);
             tree.ixy.push([mbb.x_min, mbb.x_max, mbb.y_min, mbb.y_max]);
-            tree.sx0.push(mbb.x_min);
-            tree.sx1.push(mbb.x_max);
-            tree.sy0.push(mbb.y_min);
-            tree.sy1.push(mbb.y_max);
-            tree.st0.push(t_down(mbb.t_min.millis()));
-            tree.st1.push(t_up(mbb.t_max.millis()));
             tree.values.push(value);
         }
 
@@ -286,30 +209,7 @@ impl<V> PackedRTree<V> {
             tree.height += 1;
         }
         tree.root = level[0];
-        tree.fill_node_slabs();
         tree
-    }
-
-    /// Transposes the node bounds into the SIMD child-scan lanes; called
-    /// once after every node's bounds are final.
-    fn fill_node_slabs(&mut self) {
-        let n = self.nodes.len();
-        self.nsx0 = Vec::with_capacity(n);
-        self.nsx1 = Vec::with_capacity(n);
-        self.nsy0 = Vec::with_capacity(n);
-        self.nsy1 = Vec::with_capacity(n);
-        self.nst0 = Vec::with_capacity(n);
-        self.nst1 = Vec::with_capacity(n);
-        for c in 0..n {
-            let xy = self.nxy[c];
-            let t = self.nt[c];
-            self.nsx0.push(xy[0]);
-            self.nsx1.push(xy[1]);
-            self.nsy0.push(xy[2]);
-            self.nsy1.push(xy[3]);
-            self.nst0.push(t_down(t[0]));
-            self.nst1.push(t_up(t[1]));
-        }
     }
 
     fn push_node(&mut self, node: NodeRef) -> usize {
@@ -448,45 +348,16 @@ impl<V> PackedRTree<V> {
     /// voting ball): it prunes strictly more than intersecting with the
     /// radius-inflated box — a per-axis inflate admits corner candidates up
     /// to `√2·radius` away, the Euclidean gap test here rejects them, at the
-    /// node level as well as the item level. Allocation-free.
-    ///
-    /// Dispatches the leaf-level item scan to the widest SIMD width allowed
-    /// by [`simd_level`] (`HERMES_SIMD` overrides, see `hermes-trajectory`).
-    /// Every width visits **exactly the same items with bit-identical
-    /// `gap2`** as the scalar scan: the packed lanes run the same
-    /// correctly-rounded subtract/max/mul/add sequence elementwise, and the
-    /// widened-`f64` temporal prefilter is outward-rounded (never rejects a
-    /// true candidate) with survivors rechecked against the exact `i64`
-    /// bounds.
+    /// node level as well as the item level. Items are visited in ascending
+    /// index order within a leaf and leaves in depth-first child order, so
+    /// the visit sequence is a deterministic function of the tree and the
+    /// query. Allocation-free.
     #[inline]
     pub fn for_each_ball_candidate_idx(
         &self,
         query: &Mbb,
         radius: f64,
         mut visit: impl FnMut(usize, f64),
-    ) {
-        self.ball_candidates_at(simd_level(), query, radius, &mut visit);
-    }
-
-    /// [`PackedRTree::for_each_ball_candidate_idx`] pinned to the scalar
-    /// item scan, independent of `HERMES_SIMD` and CPU features. Kept as the
-    /// measured baseline for the SIMD scan and as an equality reference.
-    #[inline]
-    pub fn for_each_ball_candidate_idx_scalar(
-        &self,
-        query: &Mbb,
-        radius: f64,
-        mut visit: impl FnMut(usize, f64),
-    ) {
-        self.ball_candidates_at(SimdLevel::Scalar, query, radius, &mut visit);
-    }
-
-    fn ball_candidates_at(
-        &self,
-        level: SimdLevel,
-        query: &Mbb,
-        radius: f64,
-        visit: &mut impl FnMut(usize, f64),
     ) {
         if self.is_empty() {
             return;
@@ -498,349 +369,43 @@ impl<V> PackedRTree<V> {
             y1: query.y_max,
             t0: query.t_min.millis(),
             t1: query.t_max.millis(),
-            t0f: t_down(query.t_min.millis()),
-            t1f: t_up(query.t_max.millis()),
             r2: radius * radius,
         };
-        self.visit_ball(self.root, &q, level, visit);
+        self.visit_ball(self.root, &q, &mut visit);
     }
 
-    fn visit_ball(
-        &self,
-        node: usize,
-        q: &BallQuery,
-        level: SimdLevel,
-        visit: &mut impl FnMut(usize, f64),
-    ) {
+    /// One node of the ball traversal: the temporal test on the exact `i64`
+    /// bounds, then `axis_gap` against the ball, for items (leaves) or
+    /// children (internal nodes) alike.
+    fn visit_ball(&self, node: usize, q: &BallQuery, visit: &mut impl FnMut(usize, f64)) {
         let n = self.nodes[node];
         let (start, end) = (n.start as usize, n.end as usize);
         if n.leaf {
-            match level {
-                #[cfg(target_arch = "x86_64")]
-                SimdLevel::Avx2 => unsafe { self.scan_leaf_avx2(start, end, q, visit) },
-                #[cfg(target_arch = "x86_64")]
-                SimdLevel::Sse2 => unsafe { self.scan_leaf_sse2(start, end, q, visit) },
-                _ => self.scan_leaf_scalar(start, end, q, visit),
+            for i in start..end {
+                let t = self.it[i];
+                if q.t0 <= t[1] && t[0] <= q.t1 {
+                    let xy = self.ixy[i];
+                    let gx = axis_gap(xy[0], xy[1], q.x0, q.x1);
+                    let gy = axis_gap(xy[2], xy[3], q.y0, q.y1);
+                    let gap2 = gx * gx + gy * gy;
+                    if gap2 <= q.r2 {
+                        visit(i, gap2);
+                    }
+                }
             }
         } else {
-            match level {
-                #[cfg(target_arch = "x86_64")]
-                SimdLevel::Avx2 => unsafe { self.scan_children_avx2(start, end, q, level, visit) },
-                #[cfg(target_arch = "x86_64")]
-                SimdLevel::Sse2 => unsafe { self.scan_children_sse2(start, end, q, level, visit) },
-                _ => self.scan_children_scalar(start, end, q, level, visit),
-            }
-        }
-    }
-
-    /// Scalar child scan of an internal node: the exact reference the SIMD
-    /// variants must match — temporal test on the exact `i64` bounds, then
-    /// `axis_gap` vs the ball.
-    fn scan_children_scalar(
-        &self,
-        start: usize,
-        end: usize,
-        q: &BallQuery,
-        level: SimdLevel,
-        visit: &mut impl FnMut(usize, f64),
-    ) {
-        for c in start..end {
-            let t = self.nt[c];
-            if q.t0 <= t[1] && t[0] <= q.t1 {
-                let xy = self.nxy[c];
-                let gx = axis_gap(xy[0], xy[1], q.x0, q.x1);
-                let gy = axis_gap(xy[2], xy[3], q.y0, q.y1);
-                if gx * gx + gy * gy <= q.r2 {
-                    self.visit_ball(c, q, level, visit);
-                }
-            }
-        }
-    }
-
-    /// AVX2 child scan: four children per iteration over the transposed
-    /// node-bound lanes, exactly as [`scan_leaf_avx2`](Self::scan_leaf_avx2)
-    /// scans items — outward-rounded temporal prefilter, branchless
-    /// `axis_gap` (bit-identical to the scalar three-case form), exact `i64`
-    /// recheck on passing lanes before descending. Children are descended in
-    /// ascending id order, so the item visit order is exactly the scalar
-    /// traversal's.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 (guaranteed by dispatching on [`simd_level`], which
-    /// clamps to runtime-detected features).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn scan_children_avx2(
-        &self,
-        start: usize,
-        end: usize,
-        q: &BallQuery,
-        level: SimdLevel,
-        visit: &mut impl FnMut(usize, f64),
-    ) {
-        use std::arch::x86_64::*;
-        let zero = _mm256_setzero_pd();
-        let qx0 = _mm256_set1_pd(q.x0);
-        let qx1 = _mm256_set1_pd(q.x1);
-        let qy0 = _mm256_set1_pd(q.y0);
-        let qy1 = _mm256_set1_pd(q.y1);
-        let qt0 = _mm256_set1_pd(q.t0f);
-        let qt1 = _mm256_set1_pd(q.t1f);
-        let r2 = _mm256_set1_pd(q.r2);
-        let mut c = start;
-        while c + 4 <= end {
-            let t_lo = _mm256_loadu_pd(self.nst0.as_ptr().add(c));
-            let t_hi = _mm256_loadu_pd(self.nst1.as_ptr().add(c));
-            let t_pass = _mm256_and_pd(
-                _mm256_cmp_pd::<_CMP_LE_OQ>(qt0, t_hi),
-                _mm256_cmp_pd::<_CMP_LE_OQ>(t_lo, qt1),
-            );
-            let x_lo = _mm256_loadu_pd(self.nsx0.as_ptr().add(c));
-            let x_hi = _mm256_loadu_pd(self.nsx1.as_ptr().add(c));
-            let y_lo = _mm256_loadu_pd(self.nsy0.as_ptr().add(c));
-            let y_hi = _mm256_loadu_pd(self.nsy1.as_ptr().add(c));
-            let gx = _mm256_max_pd(
-                _mm256_max_pd(_mm256_sub_pd(qx0, x_hi), _mm256_sub_pd(x_lo, qx1)),
-                zero,
-            );
-            let gy = _mm256_max_pd(
-                _mm256_max_pd(_mm256_sub_pd(qy0, y_hi), _mm256_sub_pd(y_lo, qy1)),
-                zero,
-            );
-            let gap2 = _mm256_add_pd(_mm256_mul_pd(gx, gx), _mm256_mul_pd(gy, gy));
-            let pass = _mm256_and_pd(t_pass, _mm256_cmp_pd::<_CMP_LE_OQ>(gap2, r2));
-            let mut mask = _mm256_movemask_pd(pass) as u32;
-            while mask != 0 {
-                let lane = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                let child = c + lane;
-                let t = self.nt[child];
+            for c in start..end {
+                let t = self.nt[c];
                 if q.t0 <= t[1] && t[0] <= q.t1 {
-                    self.visit_ball(child, q, level, visit);
-                }
-            }
-            c += 4;
-        }
-        self.scan_children_scalar(c, end, q, level, visit);
-    }
-
-    /// SSE2 child scan: two children per iteration, same contract as
-    /// [`scan_children_avx2`](Self::scan_children_avx2).
-    ///
-    /// # Safety
-    ///
-    /// SSE2 is part of the x86_64 baseline; kept `unsafe` for symmetry with
-    /// the dispatch.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "sse2")]
-    unsafe fn scan_children_sse2(
-        &self,
-        start: usize,
-        end: usize,
-        q: &BallQuery,
-        level: SimdLevel,
-        visit: &mut impl FnMut(usize, f64),
-    ) {
-        use std::arch::x86_64::*;
-        let zero = _mm_setzero_pd();
-        let qx0 = _mm_set1_pd(q.x0);
-        let qx1 = _mm_set1_pd(q.x1);
-        let qy0 = _mm_set1_pd(q.y0);
-        let qy1 = _mm_set1_pd(q.y1);
-        let qt0 = _mm_set1_pd(q.t0f);
-        let qt1 = _mm_set1_pd(q.t1f);
-        let r2 = _mm_set1_pd(q.r2);
-        let mut c = start;
-        while c + 2 <= end {
-            let t_lo = _mm_loadu_pd(self.nst0.as_ptr().add(c));
-            let t_hi = _mm_loadu_pd(self.nst1.as_ptr().add(c));
-            let t_pass = _mm_and_pd(_mm_cmple_pd(qt0, t_hi), _mm_cmple_pd(t_lo, qt1));
-            let x_lo = _mm_loadu_pd(self.nsx0.as_ptr().add(c));
-            let x_hi = _mm_loadu_pd(self.nsx1.as_ptr().add(c));
-            let y_lo = _mm_loadu_pd(self.nsy0.as_ptr().add(c));
-            let y_hi = _mm_loadu_pd(self.nsy1.as_ptr().add(c));
-            let gx = _mm_max_pd(
-                _mm_max_pd(_mm_sub_pd(qx0, x_hi), _mm_sub_pd(x_lo, qx1)),
-                zero,
-            );
-            let gy = _mm_max_pd(
-                _mm_max_pd(_mm_sub_pd(qy0, y_hi), _mm_sub_pd(y_lo, qy1)),
-                zero,
-            );
-            let gap2 = _mm_add_pd(_mm_mul_pd(gx, gx), _mm_mul_pd(gy, gy));
-            let pass = _mm_and_pd(t_pass, _mm_cmple_pd(gap2, r2));
-            let mut mask = _mm_movemask_pd(pass) as u32;
-            while mask != 0 {
-                let lane = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                let child = c + lane;
-                let t = self.nt[child];
-                if q.t0 <= t[1] && t[0] <= q.t1 {
-                    self.visit_ball(child, q, level, visit);
-                }
-            }
-            c += 2;
-        }
-        self.scan_children_scalar(c, end, q, level, visit);
-    }
-
-    fn scan_leaf_scalar(
-        &self,
-        start: usize,
-        end: usize,
-        q: &BallQuery,
-        visit: &mut impl FnMut(usize, f64),
-    ) {
-        for i in start..end {
-            let t = self.it[i];
-            if q.t0 <= t[1] && t[0] <= q.t1 {
-                let xy = self.ixy[i];
-                let gx = axis_gap(xy[0], xy[1], q.x0, q.x1);
-                let gy = axis_gap(xy[2], xy[3], q.y0, q.y1);
-                let gap2 = gx * gx + gy * gy;
-                if gap2 <= q.r2 {
-                    visit(i, gap2);
-                }
-            }
-        }
-    }
-
-    /// AVX2 leaf scan: four items per iteration over the transposed bound
-    /// lanes. Per lane it emits the exact statement sequence of
-    /// [`scan_leaf_scalar`](Self::scan_leaf_scalar) — `axis_gap`'s
-    /// subtract/max chain, then `gx·gx + gy·gy` — with correctly-rounded
-    /// packed ops, so surviving lanes carry bit-identical `gap2`. The packed
-    /// temporal test uses the outward-rounded `f64` lanes (a superset
-    /// filter); each passing lane is rechecked against the exact `i64`
-    /// bounds before `visit`, so the visited set is exactly the scalar one.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 (guaranteed by dispatching on [`simd_level`], which
-    /// clamps to runtime-detected features).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn scan_leaf_avx2(
-        &self,
-        start: usize,
-        end: usize,
-        q: &BallQuery,
-        visit: &mut impl FnMut(usize, f64),
-    ) {
-        use std::arch::x86_64::*;
-        let zero = _mm256_setzero_pd();
-        let qx0 = _mm256_set1_pd(q.x0);
-        let qx1 = _mm256_set1_pd(q.x1);
-        let qy0 = _mm256_set1_pd(q.y0);
-        let qy1 = _mm256_set1_pd(q.y1);
-        let qt0 = _mm256_set1_pd(q.t0f);
-        let qt1 = _mm256_set1_pd(q.t1f);
-        let r2 = _mm256_set1_pd(q.r2);
-        let mut i = start;
-        while i + 4 <= end {
-            let t_lo = _mm256_loadu_pd(self.st0.as_ptr().add(i));
-            let t_hi = _mm256_loadu_pd(self.st1.as_ptr().add(i));
-            // qt0 <= t_hi && t_lo <= qt1 (outward-rounded, so never a false
-            // reject; false admits are caught by the exact recheck below).
-            let t_pass = _mm256_and_pd(
-                _mm256_cmp_pd::<_CMP_LE_OQ>(qt0, t_hi),
-                _mm256_cmp_pd::<_CMP_LE_OQ>(t_lo, qt1),
-            );
-            let x_lo = _mm256_loadu_pd(self.sx0.as_ptr().add(i));
-            let x_hi = _mm256_loadu_pd(self.sx1.as_ptr().add(i));
-            let y_lo = _mm256_loadu_pd(self.sy0.as_ptr().add(i));
-            let y_hi = _mm256_loadu_pd(self.sy1.as_ptr().add(i));
-            let gx = _mm256_max_pd(
-                _mm256_max_pd(_mm256_sub_pd(qx0, x_hi), _mm256_sub_pd(x_lo, qx1)),
-                zero,
-            );
-            let gy = _mm256_max_pd(
-                _mm256_max_pd(_mm256_sub_pd(qy0, y_hi), _mm256_sub_pd(y_lo, qy1)),
-                zero,
-            );
-            let gap2 = _mm256_add_pd(_mm256_mul_pd(gx, gx), _mm256_mul_pd(gy, gy));
-            let pass = _mm256_and_pd(t_pass, _mm256_cmp_pd::<_CMP_LE_OQ>(gap2, r2));
-            let mut mask = _mm256_movemask_pd(pass) as u32;
-            if mask != 0 {
-                let mut g = [0.0f64; 4];
-                _mm256_storeu_pd(g.as_mut_ptr(), gap2);
-                while mask != 0 {
-                    let lane = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    let idx = i + lane;
-                    let t = self.it[idx];
-                    if q.t0 <= t[1] && t[0] <= q.t1 {
-                        visit(idx, g[lane]);
+                    let xy = self.nxy[c];
+                    let gx = axis_gap(xy[0], xy[1], q.x0, q.x1);
+                    let gy = axis_gap(xy[2], xy[3], q.y0, q.y1);
+                    if gx * gx + gy * gy <= q.r2 {
+                        self.visit_ball(c, q, visit);
                     }
                 }
             }
-            i += 4;
         }
-        self.scan_leaf_scalar(i, end, q, visit);
-    }
-
-    /// SSE2 leaf scan: two items per iteration, same statement sequence and
-    /// exactness contract as [`scan_leaf_avx2`](Self::scan_leaf_avx2).
-    ///
-    /// # Safety
-    ///
-    /// Requires SSE2 (always present on `x86_64`; kept `unsafe` for
-    /// symmetry with the dispatch).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "sse2")]
-    unsafe fn scan_leaf_sse2(
-        &self,
-        start: usize,
-        end: usize,
-        q: &BallQuery,
-        visit: &mut impl FnMut(usize, f64),
-    ) {
-        use std::arch::x86_64::*;
-        let zero = _mm_setzero_pd();
-        let qx0 = _mm_set1_pd(q.x0);
-        let qx1 = _mm_set1_pd(q.x1);
-        let qy0 = _mm_set1_pd(q.y0);
-        let qy1 = _mm_set1_pd(q.y1);
-        let qt0 = _mm_set1_pd(q.t0f);
-        let qt1 = _mm_set1_pd(q.t1f);
-        let r2 = _mm_set1_pd(q.r2);
-        let mut i = start;
-        while i + 2 <= end {
-            let t_lo = _mm_loadu_pd(self.st0.as_ptr().add(i));
-            let t_hi = _mm_loadu_pd(self.st1.as_ptr().add(i));
-            let t_pass = _mm_and_pd(_mm_cmple_pd(qt0, t_hi), _mm_cmple_pd(t_lo, qt1));
-            let x_lo = _mm_loadu_pd(self.sx0.as_ptr().add(i));
-            let x_hi = _mm_loadu_pd(self.sx1.as_ptr().add(i));
-            let y_lo = _mm_loadu_pd(self.sy0.as_ptr().add(i));
-            let y_hi = _mm_loadu_pd(self.sy1.as_ptr().add(i));
-            let gx = _mm_max_pd(
-                _mm_max_pd(_mm_sub_pd(qx0, x_hi), _mm_sub_pd(x_lo, qx1)),
-                zero,
-            );
-            let gy = _mm_max_pd(
-                _mm_max_pd(_mm_sub_pd(qy0, y_hi), _mm_sub_pd(y_lo, qy1)),
-                zero,
-            );
-            let gap2 = _mm_add_pd(_mm_mul_pd(gx, gx), _mm_mul_pd(gy, gy));
-            let pass = _mm_and_pd(t_pass, _mm_cmple_pd(gap2, r2));
-            let mut mask = _mm_movemask_pd(pass) as u32;
-            if mask != 0 {
-                let mut g = [0.0f64; 2];
-                _mm_storeu_pd(g.as_mut_ptr(), gap2);
-                while mask != 0 {
-                    let lane = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    let idx = i + lane;
-                    let t = self.it[idx];
-                    if q.t0 <= t[1] && t[0] <= q.t1 {
-                        visit(idx, g[lane]);
-                    }
-                }
-            }
-            i += 2;
-        }
-        self.scan_leaf_scalar(i, end, q, visit);
     }
 
     /// Visits every value whose lifespan intersects the temporal window
@@ -1073,49 +638,6 @@ mod tests {
                 assert!(items[v].0.intersects(&inflated));
             }
         }
-    }
-
-    /// Every SIMD width of the ball scan must visit exactly the scalar
-    /// item set, in the same order, with bit-identical `gap2` — the
-    /// traversal-level half of the voting hot path's exactness contract.
-    #[test]
-    fn ball_scan_widths_are_bit_identical_to_scalar() {
-        use hermes_trajectory::SimdLevel;
-        let items = cloud(500, 0x51_5D);
-        let packed = PackedRTree::bulk_load(items);
-        let queries = [
-            boxy(300.0, 360.0, 300.0, 360.0, 200_000, 500_000),
-            boxy(0.0, 80.0, 900.0, 1_000.0, 0, 80_000),
-            boxy(450.0, 460.0, 450.0, 460.0, 400_000, 410_000),
-        ];
-        for q in &queries {
-            for radius in [0.0, 25.0, 120.0, 2_000.0] {
-                let mut reference: Vec<(usize, u64)> = Vec::new();
-                packed.for_each_ball_candidate_idx_scalar(q, radius, |i, gap2| {
-                    reference.push((i, gap2.to_bits()));
-                });
-                for level in [SimdLevel::Sse2, SimdLevel::Avx2] {
-                    if level > hermes_trajectory::kernel::best_supported() {
-                        continue;
-                    }
-                    let mut got: Vec<(usize, u64)> = Vec::new();
-                    packed.ball_candidates_at(level, q, radius, &mut |i, gap2| {
-                        got.push((i, gap2.to_bits()));
-                    });
-                    assert_eq!(got, reference, "{level:?} radius {radius}");
-                }
-            }
-        }
-        // The auto entry dispatches somewhere in the same equality class.
-        let mut auto_set: Vec<(usize, u64)> = Vec::new();
-        packed.for_each_ball_candidate_idx(&queries[0], 120.0, |i, gap2| {
-            auto_set.push((i, gap2.to_bits()));
-        });
-        let mut scalar_set: Vec<(usize, u64)> = Vec::new();
-        packed.for_each_ball_candidate_idx_scalar(&queries[0], 120.0, |i, gap2| {
-            scalar_set.push((i, gap2.to_bits()));
-        });
-        assert_eq!(auto_set, scalar_set);
     }
 
     #[test]

@@ -18,12 +18,9 @@
 //! distance lower bounds, cheapest first — the probe's free window-ball gap,
 //! then the per-segment box gap — and only survivors are gathered into
 //! [`BATCH`]-wide structure-of-arrays blocks for the SIMD batched kernel
-//! ([`hermes_trajectory::kernel::mean_sync_distance_batch`]). (The sharper
-//! clipped-lifespan bound [`segment_clipped_gap2`] is implemented and
-//! property-tested but deliberately kept out of the ladder — measured a net
-//! loss on the urban workload.) How many candidates each side of the ladder
-//! saw is reported as [`KernelCounters`]; `docs/KERNELS.md` walks the whole
-//! ladder.
+//! ([`hermes_trajectory::kernel::mean_sync_distance_batch`]). How many
+//! candidates each side of the ladder saw is reported as [`KernelCounters`];
+//! `docs/KERNELS.md` walks the whole ladder.
 //!
 //! **Exactness contract.** [`arena_voting`] is bit-identical to its oracle
 //! [`naive_voting`](crate::voting::naive_voting):
@@ -31,7 +28,7 @@
 //! * the distance kernel is [`hermes_trajectory::kernel::mean_sync_distance`]
 //!   — the same function `Segment::mean_synchronized_distance` delegates to —
 //!   or its batched SIMD form, which performs the same IEEE-754 operations in
-//!   the same per-lane order and is gated bit-identical at every width;
+//!   the same per-lane order and is gated bit-identical at both levels;
 //! * per-voter minima are order-independent (`min` is a lattice operation),
 //!   which also covers deferring the fold to the gather-block flush;
 //! * per-segment votes are summed in **ascending voter order** in every
@@ -81,55 +78,6 @@ impl KernelCounters {
         self.evaluated += other.evaluated;
         self.pruned += other.pruned;
     }
-}
-
-/// Admissible lower bound on the mean synchronized distance between query
-/// segment `q` and a candidate with lifespan `[ct0, ct1]` and spatial box
-/// `cxy = [x_min, x_max, y_min, y_max]`: the Euclidean gap between the
-/// candidate's box and the box of the **query clipped to the common
-/// lifespan**, squared. `None` when the lifespans are disjoint.
-///
-/// Why it lower-bounds the kernel: every instant the kernel samples lies in
-/// the common lifespan, where the query position interpolates between
-/// `q(common_start)` and `q(common_end)` — correctly-rounded lerp is monotone
-/// in the interpolation factor, so the computed positions stay inside the box
-/// of those two computed endpoints. The candidate's sampled positions stay
-/// inside its own endpoint box by the same argument. Each sampled distance
-/// therefore is at least the box-to-box gap, and so is their Simpson mean.
-/// The clipped box is never larger than the query's full-lifespan MBB, so
-/// this bound is at least as tight as the per-segment box gap that runs
-/// before it in the ladder. Like every computed-vs-computed bound here it
-/// carries the few-ulp rounding envelope discussed in the module docs; the
-/// bit-identity gates verify it never fires wrongly on shipped data.
-#[inline]
-fn clipped_gap2_parts(q: &SegLanes, ct0: i64, ct1: i64, cxy: &[f64; 4]) -> Option<f64> {
-    let cs = if q.t0 >= ct0 { q.t0 } else { ct0 };
-    let ce = if q.t1 <= ct1 { q.t1 } else { ct1 };
-    if cs > ce {
-        return None;
-    }
-    let (ax, ay) = q.position_at(cs);
-    let (bx, by) = q.position_at(ce);
-    // Branchless endpoint sort: min/max of two non-NaN values is the value
-    // the branchy compare-and-swap would pick, bit for bit.
-    let (qx_min, qx_max) = (ax.min(bx), ax.max(bx));
-    let (qy_min, qy_max) = (ay.min(by), ay.max(by));
-    let gx = axis_gap(cxy[0], cxy[1], qx_min, qx_max);
-    let gy = axis_gap(cxy[2], cxy[3], qy_min, qy_max);
-    Some(gx * gx + gy * gy)
-}
-
-/// The clipped-lifespan gap over plain kernel lanes — the form the admissibility
-/// property tests exercise. Returns the squared lower bound, or `None` when
-/// the lifespans are disjoint (where the kernel returns `None` too).
-pub fn segment_clipped_gap2(q: &SegLanes, c: &SegLanes) -> Option<f64> {
-    let cxy = [
-        c.x0.min(c.x1),
-        c.x0.max(c.x1),
-        c.y0.min(c.y1),
-        c.y0.max(c.y1),
-    ];
-    clipped_gap2_parts(q, c.t0, c.t1, &cxy)
 }
 
 /// Flat, cache-linear storage of every segment of a trajectory collection.
@@ -560,11 +508,7 @@ impl ArenaVoteScratch {
 /// candidate set is order-independent, and a stale best-so-far only makes
 /// the pruning stages admit more candidates — whose distances then lose the
 /// `d < best` comparison exactly because the bound that would have pruned
-/// them lower-bounds `d`. (The clipped-lifespan bound
-/// [`segment_clipped_gap2`] is deliberately *not* in this ladder: its two
-/// divisions cost more than the few kernel evaluations it saves — measured
-/// a net loss on the urban workload — and the temporal partition already
-/// guarantees overlapping lifespans, so its disjoint branch cannot fire.)
+/// them lower-bounds `d`.
 pub fn vote_trajectory_into(
     arena: &SegmentArena,
     index: &PackedSegmentIndex,
@@ -800,7 +744,7 @@ pub fn arena_voting_counted_with(
 mod tests {
     use super::*;
     use crate::voting::{naive_voting, naive_voting_with};
-    use hermes_trajectory::{kernel::mean_sync_distance, Point};
+    use hermes_trajectory::Point;
 
     fn line(id: u64, y0: f64, t0: i64, n: usize) -> Trajectory {
         Trajectory::new(
@@ -853,7 +797,7 @@ mod tests {
     }
 
     #[test]
-    fn arena_voting_is_bit_identical_to_indexed_and_naive() {
+    fn arena_voting_is_bit_identical_to_the_naive_oracle() {
         let trajs = mixed_mod();
         let p = params(25.0);
         let arena = SegmentArena::build(&trajs);
@@ -886,53 +830,6 @@ mod tests {
             let (_, parallel) = arena_voting_counted_with(&arena, &packed, &p, &exec);
             assert_eq!(parallel, counters);
         }
-    }
-
-    #[test]
-    fn clipped_gap_lower_bounds_the_kernel() {
-        // Seeded sweep: whenever both are defined, the clipped-query box gap
-        // must never exceed the exact distance (squared), or pruning on it
-        // could change results.
-        let mut state = 0xDEAD_BEEFu64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut rand_seg = {
-            let mut f = move || (next() >> 11) as f64 / (1u64 << 53) as f64 * 100.0 - 50.0;
-            move |t_base: i64, span: i64| SegLanes {
-                x0: f(),
-                y0: f(),
-                x1: f(),
-                y1: f(),
-                t0: t_base,
-                t1: t_base + span,
-            }
-        };
-        let mut checked = 0usize;
-        for i in 0..2_000 {
-            let a = rand_seg((i % 17) * 500, if i % 7 == 0 { 0 } else { 4_000 });
-            let b = rand_seg((i % 23) * 400, if i % 11 == 0 { 0 } else { 3_500 });
-            match (segment_clipped_gap2(&a, &b), mean_sync_distance(&a, &b)) {
-                (Some(lb2), Some(d)) => {
-                    // Compare as distances, with the few-ulp envelope the
-                    // module docs grant every computed-vs-computed bound
-                    // (when the overlap is one instant the bound is *equal*
-                    // to the distance and only rounding separates them).
-                    assert!(
-                        lb2.sqrt() <= d * (1.0 + 1e-12) + 1e-12,
-                        "bound {} exceeds exact {d}: {a:?} vs {b:?}",
-                        lb2.sqrt()
-                    );
-                    checked += 1;
-                }
-                (None, None) => {}
-                (lb, d) => panic!("bound/kernel disagree on lifespan overlap: {lb:?} vs {d:?}"),
-            }
-        }
-        assert!(checked > 500, "sweep mostly disjoint: {checked}");
     }
 
     #[test]

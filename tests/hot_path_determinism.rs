@@ -91,7 +91,7 @@ fn assert_profiles_bit_identical(a: &[VotingProfile], b: &[VotingProfile], label
 }
 
 #[test]
-fn arena_voting_is_bit_identical_to_indexed_and_naive_paths() {
+fn arena_voting_is_bit_identical_to_the_naive_oracle() {
     for (name, trajs, params) in workloads() {
         assert!(
             trajs.len() >= 10,
@@ -122,7 +122,7 @@ fn arena_voting_is_bit_identical_to_indexed_and_naive_paths() {
 }
 
 #[test]
-fn pipeline_runs_on_the_arena_and_reproduces_legacy_voting_verbatim() {
+fn pipeline_runs_on_the_arena_and_reproduces_naive_voting_verbatim() {
     for (name, trajs, params) in workloads() {
         let outcome = run_s2t(&trajs, &params);
         let via_oracle = naive_voting_with(&trajs, &params, &Executor::serial());
@@ -154,8 +154,8 @@ fn packed_segment_index_matches_legacy_cardinality_and_geometry() {
 }
 
 /// Seeded sweep of the batched distance kernel across every dispatch width
-/// and every remainder tail: `Scalar`, `Sse2` and `Avx2` lanes (each clamped
-/// to what the hardware supports) must produce the same `f64` bits as the
+/// and every remainder tail: `Scalar` and `Avx2` lanes (each clamped to
+/// what the hardware supports) must produce the same `f64` bits as the
 /// scalar object-path kernel for every lane — including the `INFINITY`
 /// sentinel standing in for `None` on disjoint lifespans. Batch lengths run
 /// `1..=2·BATCH+1`, so every partial-vector tail a width can leave is hit,
@@ -166,7 +166,7 @@ fn batch_kernel_is_bit_identical_across_lane_widths_and_tails() {
         mean_sync_distance, mean_sync_distance_batch_at, SegLanes, SimdLevel, BATCH,
     };
 
-    let levels = [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2];
+    let levels = [SimdLevel::Scalar, SimdLevel::Avx2];
     for (name, trajs, _params) in workloads() {
         let arena = SegmentArena::build(&trajs);
         let all: Vec<SegLanes> = (0..arena.num_segments())
@@ -215,17 +215,14 @@ fn batch_kernel_is_bit_identical_across_lane_widths_and_tails() {
     }
 }
 
-/// Admissibility of the pruning ladder's distance lower bounds: for seeded
-/// segment pairs from every workload, the per-segment box gap and the
-/// clipped-lifespan gap ([`segment_clipped_gap2`]) must never exceed the
-/// exact mean synchronized distance — in the squared form the ladder
-/// actually compares (`gap² ≤ d²`), so a bound that fired where the kernel
-/// would have won fails here. Also pins the disjoint-lifespan contract: the
-/// clipped bound is `None` exactly when the kernel is.
+/// Admissibility of the pruning ladder's distance lower bound: for seeded
+/// segment pairs from every workload, the per-segment box gap must never
+/// exceed the exact mean synchronized distance — in the squared form the
+/// ladder actually compares (`gap² ≤ d²`), so a bound that fired where the
+/// kernel would have won fails here.
 #[test]
 fn lower_bounds_never_exceed_exact_distance() {
     use hermes::gist::axis_gap;
-    use hermes::s2t::segment_clipped_gap2;
     use hermes::trajectory::{mean_sync_distance, SegLanes};
 
     for (name, trajs, _params) in workloads() {
@@ -248,7 +245,7 @@ fn lower_bounds_never_exceed_exact_distance() {
             let q = all[qi];
             // Alternate uniform pairs with near-index pairs: neighbours in
             // arena order are the same or an adjacent trajectory, where
-            // temporal overlap — the case both bounds actually guard — is
+            // temporal overlap — the case the bound actually guards — is
             // common even on wide-departure-spread workloads.
             let ci = if draw % 2 == 0 {
                 next() % all.len()
@@ -256,22 +253,10 @@ fn lower_bounds_never_exceed_exact_distance() {
                 (qi + next() % 129 + all.len() - 64) % all.len()
             };
             let c = all[ci];
-            let exact = mean_sync_distance(&q, &c);
-            let clipped = segment_clipped_gap2(&q, &c);
-            assert_eq!(
-                exact.is_none(),
-                clipped.is_none(),
-                "{name}: clipped bound and kernel disagree on lifespan overlap"
-            );
-            let (Some(d), Some(clip2)) = (exact, clipped) else {
+            let Some(d) = mean_sync_distance(&q, &c) else {
                 continue;
             };
             overlapping += 1;
-            assert!(
-                clip2 <= d * d,
-                "{name}: clipped-lifespan bound {clip2} exceeds exact distance² {}",
-                d * d
-            );
             // The box gap the ladder's stage 2 uses: candidate box against
             // the query's full-lifespan box.
             let gx = axis_gap(
@@ -295,7 +280,7 @@ fn lower_bounds_never_exceed_exact_distance() {
         }
         // Uniform pair sampling finds fewer temporal overlaps on workloads
         // with a wide departure spread (maritime); a couple of hundred live
-        // pairs per dataset still exercises every branch of both bounds.
+        // pairs per dataset still exercises every branch of the bound.
         assert!(
             overlapping > 100,
             "{name}: too few overlapping pairs ({overlapping}) for the sweep to mean anything"

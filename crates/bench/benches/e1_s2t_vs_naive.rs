@@ -4,28 +4,28 @@
 //!
 //! Two voting implementations are measured on the seeded urban workload:
 //!
-//! * `arena` — SoA `SegmentArena` + `PackedSegmentIndex` with the batched
-//!   SIMD kernel and the lower-bound pruning ladder (the production path),
+//! * `arena` — SoA `SegmentArena` + `PackedSegmentIndex` with the
+//!   lower-bound pruning ladder in front of the exact kernel (the production
+//!   path),
 //! * `naive` — the quadratic enumeration (the paper's baseline and the
 //!   oracle).
 //!
 //! The correctness gate asserts both produce **bit-identical votes** and
 //! that the full pipelines agree on clusters and outliers; the bench aborts
-//! on any mismatch. Timings (including the arena-vs-naive voting speedup,
-//! the kernel-only SIMD speedup and per-phase pipeline breakdowns) are
-//! informational and land in `BENCH_e1_s2t_vs_naive.json`.
+//! on any mismatch. Timings (including the arena-vs-naive voting speedup
+//! and per-phase pipeline breakdowns) are informational and land in
+//! `BENCH_e1_s2t_vs_naive.json`.
 //!
 //! Env knobs: `HERMES_BENCH_QUICK=1` shrinks the sweep for CI smoke runs;
 //! `HERMES_BENCH_DIR` redirects the JSON output.
 
-use hermes_bench::harness::{bench, bench_pair, report, JsonReport};
+use hermes_bench::harness::{bench, report, JsonReport};
 use hermes_bench::{urban_s2t_params, urban_with};
 use hermes_exec::Executor;
 use hermes_s2t::{
     arena_voting, arena_voting_counted_with, naive_voting, run_s2t, run_s2t_naive,
     PackedSegmentIndex, SegmentArena,
 };
-use hermes_trajectory::{mean_sync_distance_batch_at, simd_level, SimdLevel};
 
 fn main() {
     let quick = std::env::var("HERMES_BENCH_QUICK").is_ok_and(|v| v == "1");
@@ -75,93 +75,6 @@ fn main() {
         });
         let voting_speedup = s_naive_vote.median_ms / s_arena_vote.median_ms.max(1e-9);
 
-        // --- Kernel floor in isolation: the batched distance kernel against
-        // one query segment, scalar lanes vs the dispatched SIMD width. Only
-        // candidates whose lifespan overlaps the query's are gathered — the
-        // population the voting ladder actually sends to the kernel. (On
-        // disjoint pairs the scalar lane wins by an early return the
-        // branchless vector lanes don't take, but the temporal partition
-        // means voting never evaluates those.) This is the voting ratio with
-        // probe and ladder costs stripped away — how close the hot
-        // arithmetic sits to the hardware's div/sqrt throughput floor.
-        let q = arena.lanes(0);
-        let mut lanes = (
-            Vec::new(),
-            Vec::new(),
-            Vec::new(),
-            Vec::new(),
-            Vec::new(),
-            Vec::new(),
-        );
-        for gs in 0..arena.num_segments() {
-            let l = arena.lanes(gs);
-            if l.t0 <= q.t1 && q.t0 <= l.t1 {
-                lanes.0.push(l.x0);
-                lanes.1.push(l.y0);
-                lanes.2.push(l.x1);
-                lanes.3.push(l.y1);
-                lanes.4.push(l.t0);
-                lanes.5.push(l.t1);
-            }
-        }
-        // Tile the overlap set until a batch call is comfortably above the
-        // clock quantum — repeating pairs changes nothing about the
-        // arithmetic being timed, only the sample duration.
-        let base = lanes.0.len();
-        while lanes.0.len() < 4096 {
-            for i in 0..base {
-                lanes.0.push(lanes.0[i]);
-                lanes.1.push(lanes.1[i]);
-                lanes.2.push(lanes.2[i]);
-                lanes.3.push(lanes.3[i]);
-                lanes.4.push(lanes.4[i]);
-                lanes.5.push(lanes.5[i]);
-            }
-        }
-        let m = lanes.0.len();
-        let mut out_simd = vec![0.0; m];
-        let mut out_scalar = vec![0.0; m];
-        let (s_kernel_simd, s_kernel_scalar) = bench_pair(
-            label("kernel-simd"),
-            label("kernel-scalar"),
-            5,
-            (iters / 5).max(1),
-            || {
-                mean_sync_distance_batch_at(
-                    simd_level(),
-                    &q,
-                    &lanes.0,
-                    &lanes.1,
-                    &lanes.2,
-                    &lanes.3,
-                    &lanes.4,
-                    &lanes.5,
-                    &mut out_simd,
-                );
-            },
-            || {
-                mean_sync_distance_batch_at(
-                    SimdLevel::Scalar,
-                    &q,
-                    &lanes.0,
-                    &lanes.1,
-                    &lanes.2,
-                    &lanes.3,
-                    &lanes.4,
-                    &lanes.5,
-                    &mut out_scalar,
-                );
-            },
-        );
-        assert!(
-            out_simd
-                .iter()
-                .zip(&out_scalar)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "SIMD batch kernel diverged bitwise from the scalar lanes"
-        );
-        let kernel_speedup = s_kernel_scalar.median_ms / s_kernel_simd.median_ms.max(1e-9);
-
         // --- Index construction.
         let s_arena_build = bench(label("build-arena"), iters, || {
             let a = SegmentArena::build(trajs);
@@ -184,14 +97,10 @@ fn main() {
                 ("speedup_vs_naive".into(), voting_speedup),
                 ("kernel_evaluated".into(), kernel.evaluated as f64),
                 ("kernel_pruned".into(), kernel.pruned as f64),
-                ("kernel_simd_speedup".into(), kernel_speedup),
-                ("simd_lanes".into(), simd_level().lanes() as f64),
                 ("gate_bit_identical".into(), 1.0),
                 ("headline".into(), if n == sizes[0] { 1.0 } else { 0.0 }),
             ],
         );
-        json.push(s_kernel_simd.clone());
-        json.push(s_kernel_scalar.clone());
         json.push(s_naive_vote.clone());
         json.push(s_arena_build.clone());
         json.push_with(
@@ -207,23 +116,16 @@ fn main() {
         json.push(s_pipeline_naive.clone());
 
         eprintln!(
-            "voting speedup (arena vs naive, 1 thread, {} lanes, {} trajs): {:.2}x \
+            "voting speedup (arena vs naive, 1 thread, {} trajs): {:.2}x \
              (evaluated {}, pruned {})",
-            simd_level().lanes(),
             trajs.len(),
             voting_speedup,
             kernel.evaluated,
             kernel.pruned
         );
-        eprintln!(
-            "kernel-only speedup (batched SIMD vs scalar lanes, {} segments): {:.2}x",
-            m, kernel_speedup
-        );
 
         samples.extend([
             s_arena_vote,
-            s_kernel_simd,
-            s_kernel_scalar,
             s_naive_vote,
             s_arena_build,
             s_pipeline,

@@ -45,42 +45,6 @@ pub fn bench<T>(label: impl Into<String>, iters: u32, mut f: impl FnMut() -> T) 
     sample_from(label, times_ms)
 }
 
-/// Times two variants in **alternating rounds** (`rounds` rounds of
-/// `iters_per_round` iterations each, one warm-up per variant first) and
-/// returns both samples. Use this instead of two [`fn@bench`] calls when the
-/// quantity of interest is the *ratio* between the variants: machine noise
-/// (frequency drift, neighbours on a shared box) is slow relative to a
-/// round, so interleaving makes any drift hit both variants alike instead of
-/// biasing whichever happened to run second.
-pub fn bench_pair<TA, TB>(
-    label_a: impl Into<String>,
-    label_b: impl Into<String>,
-    rounds: u32,
-    iters_per_round: u32,
-    mut a: impl FnMut() -> TA,
-    mut b: impl FnMut() -> TB,
-) -> (Sample, Sample) {
-    let rounds = rounds.max(1);
-    let per = iters_per_round.max(1);
-    black_box(a());
-    black_box(b());
-    let mut times_a = Vec::with_capacity((rounds * per) as usize);
-    let mut times_b = Vec::with_capacity((rounds * per) as usize);
-    for _ in 0..rounds {
-        for _ in 0..per {
-            let started = Instant::now();
-            black_box(a());
-            times_a.push(started.elapsed().as_secs_f64() * 1_000.0);
-        }
-        for _ in 0..per {
-            let started = Instant::now();
-            black_box(b());
-            times_b.push(started.elapsed().as_secs_f64() * 1_000.0);
-        }
-    }
-    (sample_from(label_a, times_a), sample_from(label_b, times_b))
-}
-
 fn sample_from(label: impl Into<String>, mut times_ms: Vec<f64>) -> Sample {
     times_ms.sort_by(f64::total_cmp);
     // Nearest-rank p95: the smallest time ≥ 95% of observations.

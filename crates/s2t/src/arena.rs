@@ -1,8 +1,11 @@
 //! Structure-of-arrays storage for the voting hot path.
 //!
-//! The voting phase dominates S2T query time, and its per-candidate work in
-//! the object-graph formulation is pointer chasing: every R-tree hit
-//! materializes a [`Segment`](hermes_trajectory::Segment) out of
+//! Voting evaluates the exact segment distance for every nearby pair of
+//! segments. (It no longer dominates S2T query time: on the whole-dataset
+//! S2T of the benchmark's `s2t-batch` workload, sampling takes longer.)
+//! Its per-candidate work in the object-graph formulation is pointer
+//! chasing: every R-tree hit materializes a
+//! [`Segment`](hermes_trajectory::Segment) out of
 //! `trajectories[ti].segment(si)` before any arithmetic happens. The
 //! [`SegmentArena`] flattens the whole collection once — one pass storing
 //! per-segment endpoint lanes (`x0/y0/x1/y1/t0/t1`), precomputed MBB lanes
@@ -16,21 +19,19 @@
 //!
 //! Candidates that survive the index probe walk a **pruning ladder** of
 //! distance lower bounds, cheapest first — the probe's free window-ball gap,
-//! then the per-segment box gap — and only survivors are gathered into
-//! [`BATCH`]-wide structure-of-arrays blocks for the SIMD batched kernel
-//! ([`hermes_trajectory::kernel::mean_sync_distance_batch`]). How many
-//! candidates each side of the ladder saw is reported as [`KernelCounters`];
+//! then the per-segment box gap — and only survivors reach the exact kernel
+//! ([`hermes_trajectory::kernel::mean_sync_distance`]), whose distance is
+//! folded into the voter's minimum at once. How many candidates each side
+//! of the ladder saw is reported as [`KernelCounters`];
 //! `docs/KERNELS.md` walks the whole ladder.
 //!
 //! **Exactness contract.** [`arena_voting`] is bit-identical to its oracle
 //! [`naive_voting`](crate::voting::naive_voting):
 //!
 //! * the distance kernel is [`hermes_trajectory::kernel::mean_sync_distance`]
-//!   — the same function `Segment::mean_synchronized_distance` delegates to —
-//!   or its batched SIMD form, which performs the same IEEE-754 operations in
-//!   the same per-lane order and is gated bit-identical at both levels;
-//! * per-voter minima are order-independent (`min` is a lattice operation),
-//!   which also covers deferring the fold to the gather-block flush;
+//!   — the same function `Segment::mean_synchronized_distance` delegates to
+//!   and [`naive_voting`](crate::voting::naive_voting) calls;
+//! * per-voter minima are order-independent (`min` is a lattice operation);
 //! * per-segment votes are summed in **ascending voter order** in every
 //!   implementation, so traversal order cannot perturb the floating sum;
 //! * every pruning stage only ever removes candidates whose exact distance
@@ -54,8 +55,7 @@ use crate::voting::{kernel, VotingProfile};
 use hermes_exec::Executor;
 use hermes_gist::{axis_gap, PackedRTree};
 use hermes_trajectory::{
-    kernel::{mean_sync_distance_batch_at, simd_level, SimdLevel, BATCH},
-    Mbb, SegLanes, Timestamp, Trajectory, TrajectoryId,
+    kernel::mean_sync_distance, Mbb, SegLanes, Timestamp, Trajectory, TrajectoryId,
 };
 
 /// How many candidate pairs reached the exact distance kernel versus how
@@ -313,121 +313,6 @@ impl PackedSegmentIndex {
 /// the spatial filter and kernel.
 const QUERY_RUN: usize = 4;
 
-/// Survivor gather block feeding the batched SIMD kernel: fixed
-/// [`BATCH`]-wide structure-of-arrays lanes filled by plain array stores (no
-/// capacity checks in the hot loop). The block flushes whenever it fills and
-/// once more at segment fold time, so the per-voter minima are refreshed
-/// every [`BATCH`] survivors — keeping the ladder's best-so-far bounds tight
-/// enough to keep firing — while the kernel still amortizes its per-call
-/// setup over full blocks.
-struct GatherBlock {
-    x0: [f64; BATCH],
-    y0: [f64; BATCH],
-    x1: [f64; BATCH],
-    y1: [f64; BATCH],
-    t0: [i64; BATCH],
-    t1: [i64; BATCH],
-    voter: [u32; BATCH],
-    d: [f64; BATCH],
-    len: usize,
-    /// Kernel dispatch level, resolved once per scratch (not per flush) so
-    /// the hot loop never touches the `HERMES_SIMD` `OnceLock`.
-    level: SimdLevel,
-}
-
-impl Default for GatherBlock {
-    fn default() -> Self {
-        GatherBlock {
-            x0: [0.0; BATCH],
-            y0: [0.0; BATCH],
-            x1: [0.0; BATCH],
-            y1: [0.0; BATCH],
-            t0: [0; BATCH],
-            t1: [0; BATCH],
-            voter: [0; BATCH],
-            d: [0.0; BATCH],
-            len: 0,
-            level: simd_level(),
-        }
-    }
-}
-
-impl GatherBlock {
-    /// True when the block just filled and must be flushed before the next
-    /// push.
-    #[inline]
-    fn push(&mut self, lanes: &SegLanes, voter: u32) -> bool {
-        let j = self.len;
-        self.x0[j] = lanes.x0;
-        self.y0[j] = lanes.y0;
-        self.x1[j] = lanes.x1;
-        self.y1[j] = lanes.y1;
-        self.t0[j] = lanes.t0;
-        self.t1[j] = lanes.t1;
-        self.voter[j] = voter;
-        self.len = j + 1;
-        self.len == BATCH
-    }
-
-    /// Evaluates the gathered candidates against query `seg` through the
-    /// batched kernel and folds the distances into the per-voter minima, in
-    /// gather order. Deferring the fold to the flush cannot change results:
-    /// `min` over a fixed candidate set is order-independent, and a stale
-    /// best-so-far only makes the *pruning* stages admit more candidates —
-    /// whose distances then lose the `d < best` comparison exactly because
-    /// the bound that would have pruned them lower-bounds `d`.
-    ///
-    /// Distances beyond `cutoff` are not folded at all. This is invisible in
-    /// the votes, bit for bit: the Gaussian kernel hard-cuts `d > cutoff` to
-    /// exactly `0.0`, and `x + 0.0 == x` for every finite IEEE-754 `x`, so a
-    /// voter whose every distance exceeds the cutoff contributes the same
-    /// nothing whether or not it enters the sum. It is also invisible to the
-    /// pruning ladder: a best-so-far above the cutoff satisfies
-    /// `best² > r²`, and stage 2 already rejects `gap² > r²` first, so such
-    /// a best never rejects anything the radius test doesn't. What it buys:
-    /// shorter `touched` lists — fewer entries to sort canonically and fewer
-    /// guaranteed-zero [`kernel`](crate::voting) calls in the vote fold.
-    /// (The ∞ disjoint-lifespan sentinel is skipped by the same comparison.)
-    fn flush(
-        &mut self,
-        seg: &SegLanes,
-        cutoff: f64,
-        best_per_voter: &mut [f64],
-        touched: &mut Vec<usize>,
-    ) {
-        let n = self.len;
-        if n == 0 {
-            return;
-        }
-        mean_sync_distance_batch_at(
-            self.level,
-            seg,
-            &self.x0[..n],
-            &self.y0[..n],
-            &self.x1[..n],
-            &self.y1[..n],
-            &self.t0[..n],
-            &self.t1[..n],
-            &mut self.d[..n],
-        );
-        for j in 0..n {
-            let d = self.d[j];
-            if d > cutoff {
-                continue;
-            }
-            let voter = self.voter[j] as usize;
-            let best = best_per_voter[voter];
-            if d < best {
-                if best.is_infinite() {
-                    touched.push(voter);
-                }
-                best_per_voter[voter] = d;
-            }
-        }
-        self.len = 0;
-    }
-}
-
 /// Reusable per-worker scratch for [`vote_trajectory_into`]. Between calls
 /// every best-distance entry is `f64::INFINITY` and the lists are empty, so
 /// a pre-sized scratch makes the voting inner loop allocation-free.
@@ -441,8 +326,6 @@ pub struct ArenaVoteScratch {
     best: [Vec<f64>; QUERY_RUN],
     /// Per-run-slot list of voters holding a finite best.
     touched: [Vec<usize>; QUERY_RUN],
-    /// Per-run-slot survivor gather block feeding the batched kernel.
-    blocks: [GatherBlock; QUERY_RUN],
 }
 
 impl Default for ArenaVoteScratch {
@@ -450,7 +333,6 @@ impl Default for ArenaVoteScratch {
         ArenaVoteScratch {
             best: std::array::from_fn(|_| Vec::new()),
             touched: std::array::from_fn(|_| Vec::new()),
-            blocks: std::array::from_fn(|_| GatherBlock::default()),
         }
     }
 }
@@ -467,7 +349,6 @@ impl ArenaVoteScratch {
         ArenaVoteScratch {
             best: std::array::from_fn(|_| vec![f64::INFINITY; arena.num_trajectories()]),
             touched: std::array::from_fn(|_| Vec::with_capacity(arena.num_trajectories())),
-            blocks: std::array::from_fn(|_| GatherBlock::default()),
         }
     }
 
@@ -500,15 +381,14 @@ impl ArenaVoteScratch {
 ///    slot's),
 /// 2. the per-segment **box gap** vs the cutoff ball (beyond it the kernel
 ///    value is exactly 0.0) and the voter's best²,
-/// 3. survivors are gathered into the slot's [`BATCH`]-wide block for the
-///    SIMD kernel; a full block flushes immediately so the fold refreshes
-///    the slot's minima and the best² rejects stay sharp.
+/// 3. survivors run the exact kernel, and a distance within the cutoff that
+///    beats the voter's best is folded at once, so the slot's minima and the
+///    best² rejects stay as sharp as the scan order allows.
 ///
-/// Folding at flush granularity cannot change results: `min` over a fixed
-/// candidate set is order-independent, and a stale best-so-far only makes
-/// the pruning stages admit more candidates — whose distances then lose the
-/// `d < best` comparison exactly because the bound that would have pruned
-/// them lower-bounds `d`.
+/// The fold order cannot change results: `min` over a fixed candidate set is
+/// order-independent, and a pruned candidate's distance would have lost the
+/// `d < best` comparison exactly because the bound that pruned it
+/// lower-bounds `d`.
 pub fn vote_trajectory_into(
     arena: &SegmentArena,
     index: &PackedSegmentIndex,
@@ -520,11 +400,7 @@ pub fn vote_trajectory_into(
 ) -> KernelCounters {
     scratch.ensure(arena.num_trajectories());
     votes.clear();
-    let ArenaVoteScratch {
-        best,
-        touched,
-        blocks,
-    } = scratch;
+    let ArenaVoteScratch { best, touched } = scratch;
     let mut counters = KernelCounters::default();
     let r2 = cutoff * cutoff;
     let range = arena.segments_of(ti);
@@ -604,17 +480,26 @@ pub fn vote_trajectory_into(
                         k += 1;
                         continue;
                     }
-                    // Survivor: gather into the slot's block.
+                    // Survivor: the exact kernel, folded at once so the
+                    // best² rejects above stay sharp. Distances past the
+                    // cutoff (and disjoint lifespans) are not folded: the
+                    // Gaussian kernel hard-cuts them to exactly 0.0, which
+                    // is additively neutral, so skipping them changes no
+                    // vote bit and keeps `touched` short.
                     counters.evaluated += 1;
-                    if blocks[k].push(&row.lanes(), row.voter) {
-                        blocks[k].flush(&segs[k], cutoff, best_k, &mut touched[k]);
+                    if let Some(d) = mean_sync_distance(&segs[k], &row.lanes()) {
+                        if d <= cutoff && d < b {
+                            if b.is_infinite() {
+                                touched[k].push(voter);
+                            }
+                            best_k[voter] = d;
+                        }
                     }
                     k += 1;
                 }
             });
-        // Per-slot epilogue, in segment order: final flush, then the vote.
+        // Per-slot epilogue, in segment order: the vote.
         for k in 0..run_len {
-            blocks[k].flush(&segs[k], cutoff, &mut best[k], &mut touched[k]);
             let touched_k = &mut touched[k];
             let best_k = &mut best[k];
             // Canonical summation order (ascending voter index): the
@@ -658,9 +543,6 @@ impl Drop for ScratchGuard<'_> {
             }
             for t in self.scratch.touched.iter_mut() {
                 t.clear();
-            }
-            for block in self.scratch.blocks.iter_mut() {
-                block.len = 0;
             }
         }
     }

@@ -39,7 +39,9 @@
 //! Per-request deadlines are enforced in [`answer_job`]: a request that
 //! waited out its deadline in the queue is answered with a typed
 //! [`ErrorCode::Deadline`] error without running, and one that finished too
-//! late has its result replaced by the same error.
+//! late has its result replaced by the same error — unless it is a command
+//! tag: a write that committed is answered as committed, late or not, so a
+//! retrying client (or coordinator) never applies it twice.
 //!
 //! [`ErrorCode::Backpressure`]: crate::protocol::ErrorCode::Backpressure
 //! [`ErrorCode::Capacity`]: crate::protocol::ErrorCode::Capacity
@@ -419,13 +421,18 @@ fn answer_job<S: Service>(
                     .answer(state, request, trace, metrics, &env.spans)
             }));
             let (mut response, traced) =
-                answered.unwrap_or_else(|payload| (internal_error(&*payload), None));
+                answered.unwrap_or_else(|payload| (internal_error(&*payload, metrics), None));
             let elapsed = started.elapsed();
             metrics.latency.record(elapsed);
             if let Some((ms, limit)) = deadline {
                 if received.elapsed() > limit {
                     metrics.deadline_misses.inc();
-                    response = deadline_error(ms);
+                    // A late command tag reports a write that already
+                    // committed (and was journaled): answering it as a
+                    // retryable Deadline would invite a second apply.
+                    if !matches!(response, Response::Command(_)) {
+                        response = deadline_error(ms);
+                    }
                 }
             }
             if let (Some(threshold), Some((trace_id, statement))) = (env.slow_query_ms, traced) {
@@ -447,16 +454,22 @@ fn answer_job<S: Service>(
     bytes
 }
 
-/// The error frame answering a request whose service call panicked. It
-/// keeps the non-retryable [`ErrorCode::Query`] class: the statement may
-/// have had effects before it failed.
-fn internal_error(payload: &(dyn Any + Send)) -> Response {
+/// The error frame answering a request whose service call panicked, and
+/// one count on `hermes_server_panics_total`. [`ErrorCode::Internal`] is not
+/// retryable: the statement may have had effects before it failed.
+///
+/// [`ErrorCode::Internal`]: crate::protocol::ErrorCode::Internal
+fn internal_error(payload: &(dyn Any + Send), metrics: &ServerMetrics) -> Response {
+    metrics.panics.inc();
     let message = payload
         .downcast_ref::<&str>()
         .copied()
         .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
         .unwrap_or("panic");
-    Response::error(format!("internal error: {message}"))
+    Response::Error {
+        code: ErrorCode::Internal,
+        message: format!("internal error: {message}"),
+    }
 }
 
 /// Accepts every connection the listener has ready.

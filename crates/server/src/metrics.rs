@@ -106,6 +106,9 @@ pub struct ServerMetrics {
     pub deadline_misses: Arc<Counter>,
     /// Requests refused because the pending-work bound was reached.
     pub backpressure_rejections: Arc<Counter>,
+    /// Requests whose service call panicked (answered with an
+    /// `Internal` error; the worker survives).
+    pub panics: Arc<Counter>,
     /// Engine epoch observed by the most recent request.
     pub epoch: Arc<Gauge>,
     /// Per-query latency distribution.
@@ -173,6 +176,10 @@ impl ServerMetrics {
                 "hermes_server_backpressure_rejections_total",
                 "Requests refused because the pending-work bound was reached",
             ),
+            panics: registry.counter(
+                "hermes_server_panics_total",
+                "Requests whose service call panicked",
+            ),
             epoch: registry.gauge(
                 "hermes_server_epoch",
                 "Engine epoch observed by the most recent request",
@@ -221,6 +228,7 @@ impl ServerMetrics {
                 "backpressure_rejections".to_string(),
                 self.backpressure_rejections.get() as i64,
             ),
+            ("panics".to_string(), self.panics.get() as i64),
             ("epoch".to_string(), self.epoch.get() as i64),
             (
                 "latency_us_total".to_string(),
@@ -270,6 +278,7 @@ mod tests {
         assert_eq!(get("queries_served"), 3);
         assert_eq!(get("latency_us_le_100"), 1);
         assert_eq!(get("connections_active"), 0);
+        assert_eq!(get("panics"), 0);
     }
 
     #[test]

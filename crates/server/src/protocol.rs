@@ -262,8 +262,13 @@ pub enum ErrorCode {
     /// request was never executed and can be retried.
     Backpressure = 3,
     /// The per-query deadline expired before (or while) the query ran; no
-    /// result is returned past a deadline.
+    /// result is returned past a deadline, except a committed write's
+    /// command tag (a write is never reported as failed once it took
+    /// effect).
     Deadline = 4,
+    /// The server failed internally while answering (a contained panic).
+    /// Not retryable: the statement may have had effects before it failed.
+    Internal = 5,
 }
 
 impl ErrorCode {
@@ -275,6 +280,7 @@ impl ErrorCode {
             2 => ErrorCode::Capacity,
             3 => ErrorCode::Backpressure,
             4 => ErrorCode::Deadline,
+            5 => ErrorCode::Internal,
             _ => ErrorCode::Query,
         }
     }

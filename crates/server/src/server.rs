@@ -106,7 +106,8 @@ pub struct ServerConfig {
     /// When set, a request not fully answered within this many milliseconds
     /// of arrival is answered with a
     /// [`Deadline`](crate::protocol::ErrorCode::Deadline) error instead of
-    /// its (late) result.
+    /// its (late) result. A late command tag is the exception: a write that
+    /// committed is answered as committed.
     pub deadline_ms: Option<u64>,
 }
 

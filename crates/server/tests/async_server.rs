@@ -10,7 +10,7 @@ use hermes_server::{
     ClientError, ErrorCode, HermesClient, Request, Response, Server, ServerConfig, ServerHandle,
     ServerMetrics, Service, MAX_MESSAGE_BYTES,
 };
-use hermes_sql::{Frame, Value, ValueType};
+use hermes_sql::{CommandTag, Frame, Value, ValueType};
 use hermes_trajectory::{Point, Timestamp, Trajectory};
 use std::sync::Arc;
 use std::thread;
@@ -156,11 +156,14 @@ fn reads_pin_the_published_epoch_while_an_index_builds() {
     server.shutdown();
 }
 
+/// A write that committed late keeps its command tag (a retry would apply
+/// it twice); a read that waited out its deadline in the queue gets the
+/// typed, retryable `Deadline` error without running.
 #[test]
 fn deadline_overrun_is_a_typed_error() {
     let server = spawn_server(ServerConfig {
         deadline_ms: Some(150),
-        workers: 2,
+        workers: 1,
         ..ServerConfig::default()
     });
     let engine = server.engine();
@@ -172,20 +175,44 @@ fn deadline_overrun_is_a_typed_error() {
     });
     thread::sleep(Duration::from_millis(50));
 
-    let mut client = HermesClient::connect(server.addr()).unwrap();
-    let err = client.query("CREATE DATASET late;").unwrap_err();
-    match err {
+    let addr = server.addr();
+    let writer = thread::spawn(move || {
+        let mut client = HermesClient::connect(addr).unwrap();
+        let outcome = client.query("CREATE DATASET late;").unwrap();
+        (client, outcome)
+    });
+    let metrics = server.metrics();
+    while metrics.inflight_queries.get() == 0 {
+        thread::sleep(Duration::from_millis(1));
+    }
+
+    // The lone worker is stuck on the write, so this read queues past its
+    // deadline and is refused before it runs.
+    let mut reader = HermesClient::connect(server.addr()).unwrap();
+    match reader.query("SHOW DATASETS;").unwrap_err() {
         ClientError::Server { code, message } => {
             assert_eq!(code, ErrorCode::Deadline, "{message}");
             assert!(message.contains("deadline"), "{message}");
         }
         other => panic!("expected a typed deadline error, got {other:?}"),
     }
-    blocker.join().unwrap();
-    assert!(server.metrics().deadline_misses.get() >= 1);
 
-    // The connection survives and fast statements still answer in time.
-    assert_eq!(client.query("SHOW THREADS;").unwrap().num_rows(), 1);
+    let (mut client, outcome) = writer.join().unwrap();
+    let status = outcome
+        .command()
+        .expect("the late write answers a command tag");
+    assert_eq!(status.tag, CommandTag::CreateDataset);
+    blocker.join().unwrap();
+    assert!(metrics.deadline_misses.get() >= 2);
+
+    // The write took effect, and both connections still answer in time.
+    let shown = client.query("SHOW DATASETS;").unwrap();
+    let frame = shown.expect_frame("SHOW DATASETS");
+    assert!(
+        (0..frame.num_rows()).any(|i| frame.get(i, "dataset") == Some(&Value::Text("late".into()))),
+        "{frame}"
+    );
+    assert_eq!(reader.query("SHOW THREADS;").unwrap().num_rows(), 1);
     server.shutdown();
 }
 
@@ -340,7 +367,7 @@ fn a_panicking_request_is_answered_and_the_worker_survives() {
     assert!(matches!(ask(&mut first, "hello"), Response::Count(1)));
     match ask(&mut first, "panic") {
         Response::Error { code, message } => {
-            assert_eq!(code, ErrorCode::Query, "{message}");
+            assert_eq!(code, ErrorCode::Internal, "{message}");
             assert_eq!(message, "internal error: fake service blew up");
         }
         other => panic!("expected an internal error, got {other:?}"),
@@ -351,6 +378,7 @@ fn a_panicking_request_is_answered_and_the_worker_survives() {
     let mut second = HermesClient::connect(server.addr()).unwrap();
     assert!(matches!(ask(&mut second, "hello"), Response::Count(1)));
     assert!(first.is_clean() && second.is_clean());
+    assert_eq!(server.metrics().panics.get(), 1);
     server.shutdown();
 }
 

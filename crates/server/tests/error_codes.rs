@@ -21,12 +21,13 @@ use hermes_server::{
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 
-const ALL_CODES: [ErrorCode; 5] = [
+const ALL_CODES: [ErrorCode; 6] = [
     ErrorCode::Query,
     ErrorCode::Protocol,
     ErrorCode::Capacity,
     ErrorCode::Backpressure,
     ErrorCode::Deadline,
+    ErrorCode::Internal,
 ];
 
 /// The encoded wire frame of an `Error` response:
@@ -65,7 +66,7 @@ fn every_error_code_round_trips_bit_exactly() {
     }
 }
 
-/// Exhaustive: all 256 possible code bytes decode; the four non-default
+/// Exhaustive: all 256 possible code bytes decode; the five non-default
 /// classes map to themselves, everything else — including bytes minted by
 /// protocol versions that do not exist yet — decodes as the conservative
 /// `Query` class (relay, never retry) and re-encodes canonically as 0.
@@ -86,6 +87,7 @@ fn every_wire_byte_decodes_and_unknown_codes_become_query() {
             2 => ErrorCode::Capacity,
             3 => ErrorCode::Backpressure,
             4 => ErrorCode::Deadline,
+            5 => ErrorCode::Internal,
             _ => ErrorCode::Query,
         };
         assert_eq!(code, expected, "code byte {byte}");
@@ -97,7 +99,8 @@ fn every_wire_byte_decodes_and_unknown_codes_become_query() {
 }
 
 /// The retry taxonomy the replica failover ladder keys on: admission and
-/// deadline classes are safe to replay on another endpoint, answers are not.
+/// deadline classes are safe to replay on another endpoint; answers and
+/// internal failures (which may have had effects) are not.
 #[test]
 fn retryable_classes_are_exactly_the_admission_and_deadline_ones() {
     for code in ALL_CODES {

@@ -46,10 +46,7 @@ pub use distance::{
 };
 pub use error::TrajectoryError;
 pub use geo::{haversine_distance, GeoPoint, LocalProjection};
-pub use kernel::{
-    mean_sync_distance, mean_sync_distance_batch, mean_sync_distance_batch_at, simd_level,
-    SegLanes, SimdLevel, BATCH,
-};
+pub use kernel::{mean_sync_distance, simd_level, SegLanes};
 pub use mbb::Mbb;
 pub use point::Point;
 pub use segment::Segment;

@@ -153,68 +153,6 @@ fn packed_segment_index_matches_legacy_cardinality_and_geometry() {
     }
 }
 
-/// Seeded sweep of the batched distance kernel across every dispatch width
-/// and every remainder tail: `Scalar` and `Avx2` lanes (each clamped to
-/// what the hardware supports) must produce the same `f64` bits as the
-/// scalar object-path kernel for every lane — including the `INFINITY`
-/// sentinel standing in for `None` on disjoint lifespans. Batch lengths run
-/// `1..=2·BATCH+1`, so every partial-vector tail a width can leave is hit,
-/// plus one arena-sized batch.
-#[test]
-fn batch_kernel_is_bit_identical_across_lane_widths_and_tails() {
-    use hermes::trajectory::{
-        mean_sync_distance, mean_sync_distance_batch_at, SegLanes, SimdLevel, BATCH,
-    };
-
-    let levels = [SimdLevel::Scalar, SimdLevel::Avx2];
-    for (name, trajs, _params) in workloads() {
-        let arena = SegmentArena::build(&trajs);
-        let all: Vec<SegLanes> = (0..arena.num_segments())
-            .map(|gs| arena.lanes(gs))
-            .collect();
-
-        // Deterministic LCG so failures reproduce; the state folds in the
-        // workload size to decorrelate the three datasets.
-        let mut state = 0x5EED_0BAD_u64 ^ (all.len() as u64);
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as usize
-        };
-
-        let mut sizes: Vec<usize> = (1..=2 * BATCH + 1).collect();
-        sizes.push(all.len());
-        for _ in 0..8 {
-            let q = all[next() % all.len()];
-            for &n in &sizes {
-                // A contiguous wrap-around window starting at a random
-                // offset: real runs of neighbours, arbitrary alignment.
-                let start = next() % all.len();
-                let cands: Vec<SegLanes> = (0..n).map(|i| all[(start + i) % all.len()]).collect();
-                let x0: Vec<f64> = cands.iter().map(|c| c.x0).collect();
-                let y0: Vec<f64> = cands.iter().map(|c| c.y0).collect();
-                let x1: Vec<f64> = cands.iter().map(|c| c.x1).collect();
-                let y1: Vec<f64> = cands.iter().map(|c| c.y1).collect();
-                let t0: Vec<i64> = cands.iter().map(|c| c.t0).collect();
-                let t1: Vec<i64> = cands.iter().map(|c| c.t1).collect();
-                let mut out = vec![0.0f64; n];
-                for level in levels {
-                    mean_sync_distance_batch_at(level, &q, &x0, &y0, &x1, &y1, &t0, &t1, &mut out);
-                    for (i, c) in cands.iter().enumerate() {
-                        let reference = mean_sync_distance(&q, c).unwrap_or(f64::INFINITY);
-                        assert_eq!(
-                            out[i].to_bits(),
-                            reference.to_bits(),
-                            "{name}: lane {i} of {n} at {level:?} diverged from the scalar kernel"
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Admissibility of the pruning ladder's distance lower bound: for seeded
 /// segment pairs from every workload, the per-segment box gap must never
 /// exceed the exact mean synchronized distance — in the squared form the

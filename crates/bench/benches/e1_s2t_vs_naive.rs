@@ -10,10 +10,15 @@
 //! * `naive` — the quadratic enumeration (the paper's baseline and the
 //!   oracle).
 //!
+//! The whole pipelines compare the same way: `s2t` runs the production
+//! SaCO (sampling and clustering probing packed R-trees of sub-trajectory
+//! boxes), `s2t-naive` the index-free oracles end to end.
+//!
 //! The correctness gate asserts both produce **bit-identical votes** and
-//! that the full pipelines agree on clusters and outliers; the bench aborts
-//! on any mismatch. Timings (including the arena-vs-naive voting speedup
-//! and per-phase pipeline breakdowns) are informational and land in
+//! that the full pipelines return the **same `ClusteringResult`** (every
+//! cluster, member and distance bit); the bench aborts on any mismatch.
+//! Timings (including the arena-vs-naive voting speedup and both pipelines'
+//! per-phase breakdowns) are informational and land in
 //! `BENCH_e1_s2t_vs_naive.json`.
 //!
 //! Env knobs: `HERMES_BENCH_QUICK=1` shrinks the sweep for CI smoke runs;
@@ -58,10 +63,12 @@ fn main() {
         let fast = run_s2t(trajs, &params);
         let slow = run_s2t_naive(trajs, &params);
         assert_eq!(fast.profiles, slow.profiles, "pipeline votes diverged");
-        assert_eq!(fast.result.num_clusters(), slow.result.num_clusters());
-        assert_eq!(fast.result.num_outliers(), slow.result.num_outliers());
+        assert_eq!(
+            fast.result, slow.result,
+            "production SaCO diverged from the oracle"
+        );
         eprintln!(
-            "gate ok: {} trajectories, {} segments, bit-identical votes",
+            "gate ok: {} trajectories, {} segments, bit-identical votes and clusters",
             trajs.len(),
             arena.num_segments()
         );
@@ -88,6 +95,7 @@ fn main() {
             run_s2t_naive(trajs, &params)
         });
         let t = run_s2t(trajs, &params).timings;
+        let t_naive = run_s2t_naive(trajs, &params).timings;
 
         json.push_with(
             s_arena_vote.clone(),
@@ -113,7 +121,14 @@ fn main() {
                 ("clustering_ms".into(), t.clustering_ms),
             ],
         );
-        json.push(s_pipeline_naive.clone());
+        json.push_with(
+            s_pipeline_naive.clone(),
+            vec![
+                ("voting_ms".into(), t_naive.voting_ms),
+                ("sampling_ms".into(), t_naive.sampling_ms),
+                ("clustering_ms".into(), t_naive.clustering_ms),
+            ],
+        );
 
         eprintln!(
             "voting speedup (arena vs naive, 1 thread, {} trajs): {:.2}x \
@@ -122,6 +137,11 @@ fn main() {
             voting_speedup,
             kernel.evaluated,
             kernel.pruned
+        );
+        eprintln!(
+            "SaCO (production vs oracle): sampling {:.2} vs {:.2} ms, \
+             clustering {:.2} vs {:.2} ms",
+            t.sampling_ms, t_naive.sampling_ms, t.clustering_ms, t_naive.clustering_ms
         );
 
         samples.extend([

@@ -41,9 +41,9 @@ use hermes_s2t::{run_s2t_naive_with, run_s2t_with, S2TParams};
 use hermes_server::protocol::{PartialInfo, Request, Response};
 use hermes_server::{ConnectOptions, ServerMetrics};
 use hermes_sql::{
-    clusters_frame, histogram_frame, info_frame, push_stat, qut_stats_frame, range_frame,
-    s2t_stats_frame, sort_stats_rows, stats_frame, trace_frame, traces_frame, CommandStatus,
-    CommandTag, Frame, Scalar, SqlError, Statement, Value, ValueType,
+    check_histogram_size, clusters_frame, histogram_frame, info_frame, push_stat, qut_stats_frame,
+    range_frame, s2t_stats_frame, sort_stats_rows, stats_frame, trace_frame, traces_frame,
+    CommandStatus, CommandTag, Frame, Scalar, SqlError, Statement, Value, ValueType,
 };
 use hermes_trajectory::{Duration, TimeInterval, Timestamp, Trajectory};
 use std::sync::{Arc, Mutex};
@@ -558,6 +558,7 @@ impl Coordinator {
                 let merge_started = Instant::now();
                 let (result, merge_stats) = merge_qut_partials(partials, &QutParams::default());
                 record_merge_span(trace, merge_started, merge_stats.merges);
+                check_histogram_size(&result, bucket_ms).map_err(sql_err)?;
                 Ok(rows(histogram_frame(&result, bucket_ms)))
             }
         }

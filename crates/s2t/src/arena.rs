@@ -1,8 +1,10 @@
 //! Structure-of-arrays storage for the voting hot path.
 //!
 //! Voting evaluates the exact segment distance for every nearby pair of
-//! segments. (It no longer dominates S2T query time: on the whole-dataset
-//! S2T of the benchmark's `s2t-batch` workload, sampling takes longer.)
+//! segments, and it is the largest S2T phase: on the whole-dataset S2T of
+//! the benchmark's `s2t-batch` workload it takes about two thirds of the
+//! time, now that sampling and clustering probe packed R-trees of
+//! sub-trajectory boxes (`crate::sampling`, `crate::clustering`).
 //! Its per-candidate work in the object-graph formulation is pointer
 //! chasing: every R-tree hit materializes a
 //! [`Segment`](hermes_trajectory::Segment) out of

@@ -7,8 +7,10 @@
 //! distance is within `ε`; otherwise it is reported as an outlier.
 
 use crate::params::S2TParams;
+use crate::sampling::PROBE_MARGIN;
 use crate::segmentation::VotedSubTrajectory;
 use hermes_exec::Executor;
+use hermes_gist::PackedRTree;
 use hermes_trajectory::{spatiotemporal_distance, SubTrajectory, TimeInterval};
 
 /// Identifier of a cluster within one clustering result.
@@ -133,15 +135,109 @@ pub fn cluster_around_representatives(
     cluster_around_representatives_with(subs, representative_indices, params, &Executor::serial())
 }
 
-/// [`cluster_around_representatives`] with the per-sub-trajectory
-/// nearest-representative searches fanned out on `exec`. Assignments are
-/// applied in input order, so member lists and outliers come out exactly as
-/// in the serial pass.
+/// [`cluster_around_representatives`], the production path: each
+/// sub-trajectory evaluates only the representatives a packed R-tree over
+/// their boxes returns within `ε` of its own box, fanned out on `exec`.
+///
+/// The representatives the probe skips cannot be members' targets (for
+/// `ε > 0`, which [`S2TParams::validate`] enforces): with disjoint
+/// lifespans the distance is `∞`, and with a spatial box gap above the
+/// radius the distance — a mean of synchronized position gaps, each at
+/// least the box gap, divided by an overlap fraction `≤ 1` — exceeds `ε`.
+/// Ties break to the lower cluster id, which is the first minimum the
+/// oracle's in-order scan keeps, and assignments are applied in input
+/// order, so the result is bit-identical to
+/// [`cluster_around_representatives_naive`] for any thread count.
 pub fn cluster_around_representatives_with(
     subs: &[VotedSubTrajectory],
     representative_indices: &[usize],
     params: &S2TParams,
     exec: &Executor,
+) -> ClusteringResult {
+    let tree = PackedRTree::bulk_load(
+        representative_indices
+            .iter()
+            .enumerate()
+            .map(|(ci, &ri)| (subs[ri].sub.mbb(), ci as u32))
+            .collect(),
+    );
+    let radius = params.epsilon * PROBE_MARGIN;
+    let is_rep = representative_mask(subs.len(), representative_indices);
+    let assignments = exec.map(subs, |i, s| {
+        if is_rep[i] {
+            return Assignment::Seed;
+        }
+        closest(&s.sub, subs, representative_indices, params, |visit| {
+            tree.for_each_ball_candidate_idx(&s.sub.mbb(), radius, |j, _| {
+                visit(*tree.value(j) as usize)
+            })
+        })
+    });
+    assemble(subs, representative_indices, assignments)
+}
+
+/// The oracle of [`cluster_around_representatives_with`]: every
+/// sub-trajectory scans every representative in cluster order and keeps the
+/// first closest one within `ε` — the quadratic, index-free loop the naive
+/// pipeline runs.
+pub fn cluster_around_representatives_naive(
+    subs: &[VotedSubTrajectory],
+    representative_indices: &[usize],
+    params: &S2TParams,
+) -> ClusteringResult {
+    let is_rep = representative_mask(subs.len(), representative_indices);
+    let assignments = subs
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            if is_rep[i] {
+                return Assignment::Seed;
+            }
+            closest(&s.sub, subs, representative_indices, params, |visit| {
+                (0..representative_indices.len()).for_each(visit)
+            })
+        })
+        .collect();
+    assemble(subs, representative_indices, assignments)
+}
+
+/// The closest representative within `ε` of `sub` among the cluster ids
+/// `near` visits, ties to the lower cluster id (in an in-order scan, the
+/// first minimum).
+fn closest(
+    sub: &SubTrajectory,
+    subs: &[VotedSubTrajectory],
+    representative_indices: &[usize],
+    params: &S2TParams,
+    near: impl FnOnce(&mut dyn FnMut(usize)),
+) -> Assignment {
+    let mut best: Option<(usize, f64)> = None;
+    near(&mut |ci| {
+        let d = spatiotemporal_distance(sub, &subs[representative_indices[ci]].sub);
+        if d.is_finite()
+            && d <= params.epsilon
+            && best.is_none_or(|(bci, bd)| d < bd || (d == bd && ci < bci))
+        {
+            best = Some((ci, d));
+        }
+    });
+    best.map_or(Assignment::Outlier, |(ci, d)| Assignment::Member(ci, d))
+}
+
+fn representative_mask(n: usize, representative_indices: &[usize]) -> Vec<bool> {
+    let mut mask = vec![false; n];
+    for &ri in representative_indices {
+        mask[ri] = true;
+    }
+    mask
+}
+
+/// Builds the clusters and outliers from per-sub-trajectory assignments,
+/// applied in input order.
+fn assemble(
+    subs: &[VotedSubTrajectory],
+    representative_indices: &[usize],
+    assignments: Vec<Assignment>,
 ) -> ClusteringResult {
     let mut clusters: Vec<Cluster> = representative_indices
         .iter()
@@ -155,24 +251,6 @@ pub fn cluster_around_representatives_with(
         })
         .collect();
     let mut outliers = Vec::new();
-
-    let assignments = exec.map(subs, |i, s| {
-        if representative_indices.contains(&i) {
-            return Assignment::Seed;
-        }
-        let mut best: Option<(usize, f64)> = None;
-        for (ci, c) in clusters.iter().enumerate() {
-            let d = spatiotemporal_distance(&s.sub, &c.representative);
-            if d.is_finite() && d <= params.epsilon && best.map(|(_, bd)| d < bd).unwrap_or(true) {
-                best = Some((ci, d));
-            }
-        }
-        match best {
-            Some((ci, d)) => Assignment::Member(ci, d),
-            None => Assignment::Outlier,
-        }
-    });
-
     for (i, assignment) in assignments.into_iter().enumerate() {
         match assignment {
             Assignment::Seed => {}
@@ -183,7 +261,6 @@ pub fn cluster_around_representatives_with(
             Assignment::Outlier => outliers.push(subs[i].sub.clone()),
         }
     }
-
     ClusteringResult { clusters, outliers }
 }
 
@@ -215,6 +292,26 @@ mod tests {
         }
     }
 
+    /// Runs the production path and the oracle, checks they agree to the
+    /// bit, and returns the result.
+    fn cluster(
+        subs: &[VotedSubTrajectory],
+        reps: &[usize],
+        params: &S2TParams,
+    ) -> ClusteringResult {
+        let fast = cluster_around_representatives(subs, reps, params);
+        let slow = cluster_around_representatives_naive(subs, reps, params);
+        assert_eq!(fast, slow);
+        let bits = |r: &ClusteringResult| -> Vec<Vec<u64>> {
+            r.clusters
+                .iter()
+                .map(|c| c.member_distances.iter().map(|d| d.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(&fast), bits(&slow));
+        fast
+    }
+
     #[test]
     fn members_join_the_closest_representative() {
         let subs = vec![
@@ -224,7 +321,7 @@ mod tests {
             voted(3, 490.0, 0, 1.0),    // near B
             voted(4, 10_000.0, 0, 0.5), // outlier
         ];
-        let result = cluster_around_representatives(&subs, &[0, 1], &params(100.0));
+        let result = cluster(&subs, &[0, 1], &params(100.0));
         assert_eq!(result.num_clusters(), 2);
         assert_eq!(result.clusters[0].members.len(), 1);
         assert_eq!(result.clusters[0].members[0].trajectory_id, 2);
@@ -238,16 +335,16 @@ mod tests {
     #[test]
     fn epsilon_bounds_cluster_membership() {
         let subs = vec![voted(0, 0.0, 0, 5.0), voted(1, 80.0, 0, 1.0)];
-        let tight = cluster_around_representatives(&subs, &[0], &params(50.0));
+        let tight = cluster(&subs, &[0], &params(50.0));
         assert_eq!(tight.num_outliers(), 1);
-        let loose = cluster_around_representatives(&subs, &[0], &params(100.0));
+        let loose = cluster(&subs, &[0], &params(100.0));
         assert_eq!(loose.num_outliers(), 0);
     }
 
     #[test]
     fn temporally_disjoint_members_are_outliers() {
         let subs = vec![voted(0, 0.0, 0, 5.0), voted(1, 0.0, 86_400_000, 1.0)];
-        let result = cluster_around_representatives(&subs, &[0], &params(1_000.0));
+        let result = cluster(&subs, &[0], &params(1_000.0));
         assert_eq!(result.num_outliers(), 1);
     }
 
@@ -258,13 +355,13 @@ mod tests {
             voted(1, 10.0, 0, 1.0),
             voted(2, 20.0, 0, 1.0),
         ];
-        let result = cluster_around_representatives(&subs, &[0], &params(100.0));
+        let result = cluster(&subs, &[0], &params(100.0));
         let c = &result.clusters[0];
         assert_eq!(c.size(), 3);
         assert!(c.mean_distance() > 0.0);
         assert_eq!(c.lifespan(), subs[0].sub.lifespan());
         // Singleton cluster edge case.
-        let singleton = cluster_around_representatives(&subs[..1], &[0], &params(100.0));
+        let singleton = cluster(&subs[..1], &[0], &params(100.0));
         assert_eq!(singleton.clusters[0].mean_distance(), 0.0);
         assert_eq!(singleton.clusters[0].size(), 1);
     }
@@ -277,7 +374,7 @@ mod tests {
             voted(2, 0.0, 86_400_000, 5.0),
             voted(3, 10.0, 86_400_000, 1.0),
         ];
-        let result = cluster_around_representatives(&subs, &[0, 2], &params(100.0));
+        let result = cluster(&subs, &[0, 2], &params(100.0));
         assert_eq!(result.num_clusters(), 2);
         let morning =
             result.restrict_to_window(&TimeInterval::new(Timestamp(0), Timestamp(3_600_000)));
@@ -288,9 +385,61 @@ mod tests {
 
     #[test]
     fn empty_inputs_produce_empty_results() {
-        let result = cluster_around_representatives(&[], &[], &params(100.0));
+        let result = cluster(&[], &[], &params(100.0));
         assert_eq!(result.num_clusters(), 0);
         assert_eq!(result.num_outliers(), 0);
         assert_eq!(result.coverage(), 0.0);
+    }
+
+    #[test]
+    fn equidistant_representatives_go_to_the_lower_cluster_id() {
+        // The member runs along y = 0. Representative 0 runs 60 ahead of it
+        // at y = 80, representative 1 level with it at y = -100: both are
+        // exactly 100 away. Sixteen far-away representatives push the tree
+        // past one leaf, so its x-sorted packing visits representative 1
+        // first; the lower cluster id must still win, as in the oracle's
+        // in-order scan.
+        let shifted = |id: u64, dx: f64, y: f64, vote: f64| {
+            let mut v = voted(id, y, 0, vote);
+            let pts = v
+                .sub
+                .points()
+                .iter()
+                .map(|p| Point::new(p.x + dx, p.y, p.t))
+                .collect();
+            v.sub = SubTrajectory::from_points(SubTrajectoryId::new(id, 0), id, id, pts);
+            v
+        };
+        let mut subs = vec![shifted(0, 60.0, 80.0, 5.0), voted(1, -100.0, 0, 5.0)];
+        subs.extend((2..18).map(|i| voted(i, 10_000.0 * i as f64, 0, 5.0)));
+        subs.push(voted(18, 0.0, 0, 1.0));
+        let reps: Vec<usize> = (0..18).collect();
+        let result = cluster(&subs, &reps, &params(150.0));
+        assert_eq!(result.clusters[0].member_distances, vec![100.0]);
+        assert!(result.clusters[1].members.is_empty());
+    }
+
+    #[test]
+    fn a_box_gap_of_exactly_epsilon_is_a_member() {
+        let subs = vec![voted(0, 0.0, 0, 5.0), voted(1, 100.0, 0, 1.0)];
+        let result = cluster(&subs, &[0], &params(100.0));
+        assert_eq!(result.clusters[0].member_distances, vec![100.0]);
+        assert_eq!(result.num_outliers(), 0);
+    }
+
+    #[test]
+    fn lifespans_touching_at_one_instant_are_outliers() {
+        let subs = vec![voted(0, 0.0, 0, 5.0), voted(1, 0.0, 9 * 60_000, 1.0)];
+        let result = cluster(&subs, &[0], &params(1_000.0));
+        assert_eq!(result.num_outliers(), 1);
+    }
+
+    #[test]
+    fn a_single_sub_trajectory_with_or_without_a_representative() {
+        let subs = vec![voted(0, 0.0, 0, 5.0)];
+        let seeded = cluster(&subs, &[0], &params(100.0));
+        assert_eq!((seeded.num_clusters(), seeded.num_outliers()), (1, 0));
+        let unseeded = cluster(&subs, &[], &params(100.0));
+        assert_eq!((unseeded.num_clusters(), unseeded.num_outliers()), (0, 1));
     }
 }

@@ -24,6 +24,13 @@
 //!    * [`clustering`] groups every remaining sub-trajectory around the
 //!      closest seed (within a distance bound) and isolates the outliers.
 //!
+//!    Both evaluate only the pairs a packed R-tree of sub-trajectory boxes
+//!    returns within the distance that can change the result (`2ε` for a
+//!    coverage discount, `ε` for membership); the quadratic loops
+//!    [`select_representatives_naive`] and
+//!    [`cluster_around_representatives_naive`] are their oracles, and the
+//!    naive pipeline runs them. Voting is the largest S2T phase.
+//!
 //! [`pipeline::run_s2t`] wires the phases together; [`metrics`] quantifies
 //! result quality for the comparison experiments (E1/E2).
 //!
@@ -45,7 +52,10 @@ pub use arena::{
     arena_voting, arena_voting_counted_with, arena_voting_with, vote_trajectory_into,
     ArenaVoteScratch, KernelCounters, PackedSegmentIndex, SegmentArena,
 };
-pub use clustering::{cluster_around_representatives, cluster_around_representatives_with};
+pub use clustering::{
+    cluster_around_representatives, cluster_around_representatives_naive,
+    cluster_around_representatives_with,
+};
 pub use clustering::{Cluster, ClusterId, ClusteringResult};
 pub use metrics::ClusteringQuality;
 pub use params::{S2TParams, S2TParamsBuilder};
@@ -53,6 +63,8 @@ pub use pipeline::trajectories_from_subs;
 pub use pipeline::{
     run_s2t, run_s2t_naive, run_s2t_naive_with, run_s2t_with, S2TOutcome, S2TPhaseTimings,
 };
-pub use sampling::{select_representatives, select_representatives_with};
+pub use sampling::{
+    select_representatives, select_representatives_naive, select_representatives_with,
+};
 pub use segmentation::{segment_all, segment_all_with, segment_trajectory, VotedSubTrajectory};
 pub use voting::{naive_voting, naive_voting_with, VotingProfile};

@@ -6,9 +6,11 @@
 //! E3).
 
 use crate::arena::{arena_voting_counted_with, KernelCounters, PackedSegmentIndex, SegmentArena};
-use crate::clustering::{cluster_around_representatives_with, ClusteringResult};
+use crate::clustering::{
+    cluster_around_representatives_naive, cluster_around_representatives_with, ClusteringResult,
+};
 use crate::params::S2TParams;
-use crate::sampling::select_representatives_with;
+use crate::sampling::{select_representatives_naive, select_representatives_with};
 use crate::segmentation::{segment_all_with, VotedSubTrajectory};
 use crate::voting::{naive_voting_with, VotingProfile};
 use hermes_exec::Executor;
@@ -111,12 +113,22 @@ fn run_pipeline(
     let subs = segment_all_with(trajectories, &profiles, params, exec);
     timings.segmentation_ms = ms(t0);
 
+    // SaCO: the probe-driven production loops, or their index-free oracles
+    // (bit-identical, see `crate::sampling` and `crate::clustering`).
     let t0 = Instant::now();
-    let representatives = select_representatives_with(&subs, params, exec);
+    let representatives = if use_index {
+        select_representatives_with(&subs, params, exec)
+    } else {
+        select_representatives_naive(&subs, params)
+    };
     timings.sampling_ms = ms(t0);
 
     let t0 = Instant::now();
-    let result = cluster_around_representatives_with(&subs, &representatives, params, exec);
+    let result = if use_index {
+        cluster_around_representatives_with(&subs, &representatives, params, exec)
+    } else {
+        cluster_around_representatives_naive(&subs, &representatives, params)
+    };
     timings.clustering_ms = ms(t0);
 
     S2TOutcome {
@@ -134,9 +146,9 @@ pub fn run_s2t(trajectories: &[Trajectory], params: &S2TParams) -> S2TOutcome {
     run_pipeline(trajectories, params, true, &Executor::serial())
 }
 
-/// [`run_s2t`] with every data-parallel phase (voting, segmentation, the
-/// sampling discount sweep, clustering) fanned out on `exec`. The result is
-/// bit-identical to [`run_s2t`] for any thread count.
+/// [`run_s2t`] with every data-parallel phase (voting, segmentation,
+/// clustering) fanned out on `exec`; sampling is a sequential greedy loop.
+/// The result is bit-identical to [`run_s2t`] for any thread count.
 pub fn run_s2t_with(
     trajectories: &[Trajectory],
     params: &S2TParams,
@@ -145,13 +157,15 @@ pub fn run_s2t_with(
     run_pipeline(trajectories, params, true, exec)
 }
 
-/// Runs the same pipeline with quadratic (index-free) voting — the baseline
-/// standing in for "corresponding PostgreSQL functions" in experiment E1.
+/// Runs the same pipeline index-free end to end — quadratic voting and the
+/// quadratic SaCO oracles — the baseline standing in for "corresponding
+/// PostgreSQL functions" in experiment E1. Its result equals [`run_s2t`]'s.
 pub fn run_s2t_naive(trajectories: &[Trajectory], params: &S2TParams) -> S2TOutcome {
     run_pipeline(trajectories, params, false, &Executor::serial())
 }
 
-/// [`run_s2t_naive`] fanned out on `exec`.
+/// [`run_s2t_naive`] with voting and segmentation fanned out on `exec`
+/// (the SaCO oracles are serial).
 pub fn run_s2t_naive_with(
     trajectories: &[Trajectory],
     params: &S2TParams,
@@ -259,6 +273,7 @@ mod tests {
         let trajs = small_mod();
         let fast = run_s2t(&trajs, &params());
         let slow = run_s2t_naive(&trajs, &params());
+        assert_eq!(fast.result, slow.result);
         assert_eq!(fast.result.num_clusters(), slow.result.num_clusters());
         assert_eq!(fast.result.num_outliers(), slow.result.num_outliers());
         let sizes = |r: &ClusteringResult| {

@@ -13,21 +13,48 @@
 use crate::params::S2TParams;
 use crate::segmentation::VotedSubTrajectory;
 use hermes_exec::Executor;
+use hermes_gist::PackedRTree;
 use hermes_trajectory::spatiotemporal_distance;
 
-/// Similarity in [0, 1] describing how much of `candidate`'s neighbourhood an
-/// already-selected representative covers: 1 when they coincide, 0 when they
-/// are at least `2ε` apart (or never co-exist).
-fn coverage_overlap(
-    candidate: &VotedSubTrajectory,
-    selected: &VotedSubTrajectory,
-    epsilon: f64,
-) -> f64 {
-    let d = spatiotemporal_distance(&candidate.sub, &selected.sub);
+/// Relative margin on every SaCO probe radius. The skip argument compares
+/// the *computed* distance with the *computed* box gap; the margin absorbs
+/// the few-ulp rounding envelope described in `crate::arena`'s module docs.
+pub(crate) const PROBE_MARGIN: f64 = 1.0 + 1e-9;
+
+/// Similarity in [0, 1] describing how much of a candidate's neighbourhood
+/// an already-selected representative at spatio-temporal distance `d`
+/// covers: 1 when they coincide, 0 when they are at least `2ε` apart (or
+/// never co-exist, `d = ∞`).
+fn coverage_overlap(d: f64, epsilon: f64) -> f64 {
     if !d.is_finite() {
         return 0.0;
     }
     (1.0 - d / (2.0 * epsilon)).max(0.0)
+}
+
+/// Whether the greedy loop takes the candidate it just found (gain `gain`):
+/// the first pick sets the reference gain, later picks must keep `δ` of it.
+fn admit(vote: f64, gain: f64, first_gain: &mut Option<f64>, delta: f64) -> bool {
+    // Never select a zero-vote seed: a dataset where nothing co-moves has
+    // no clusters, only outliers.
+    if vote <= 0.0 || first_gain.is_some_and(|fg| gain < delta * fg) {
+        return false;
+    }
+    first_gain.get_or_insert(gain);
+    true
+}
+
+/// The open candidate with the highest residual gain (lowest index on ties).
+fn best_open(gain: &[f64], open: &[bool]) -> Option<(usize, f64)> {
+    let mut best = None;
+    let mut best_gain = 0.0f64;
+    for (i, &g) in gain.iter().enumerate() {
+        if open[i] && g > best_gain {
+            best_gain = g;
+            best = Some(i);
+        }
+    }
+    best.map(|i| (i, best_gain))
 }
 
 /// Greedily selects the indices of the sub-trajectories that will seed the
@@ -36,105 +63,95 @@ pub fn select_representatives(subs: &[VotedSubTrajectory], params: &S2TParams) -
     select_representatives_with(subs, params, &Executor::serial())
 }
 
-/// [`select_representatives`] with the per-pick coverage-discount sweep (the
-/// `O(candidates)` spatio-temporal distance evaluations after every
-/// selection) fanned out on `exec`. The greedy selection itself stays
-/// sequential — each pick depends on all previous discounts — and the
-/// discounts are applied in index order, so selection is identical to the
-/// serial path.
+/// [`select_representatives`], the production path. After each pick it
+/// discounts only the candidates a packed R-tree over the sub-trajectory
+/// boxes returns within `2ε` of the pick, and evaluates each of their
+/// distances once.
+///
+/// The pairs the probe skips cannot change the result (for `ε > 0`, which
+/// [`S2TParams::validate`] enforces): with disjoint lifespans the distance
+/// is `∞`, and with a spatial box gap above the radius every synchronized
+/// position pair is at least that gap apart, so the distance — a mean of
+/// those gaps divided by an overlap fraction `≤ 1` — exceeds `2ε`. Either
+/// way `coverage_overlap` is exactly `0.0`, the gain is multiplied by
+/// exactly `1.0`, and the candidate is not within `ε`. Every update touches
+/// one candidate's own gain, so the visit order does not matter either: the
+/// selection is bit-identical to [`select_representatives_naive`].
+///
+/// The greedy loop is sequential — each pick depends on all previous
+/// discounts — and a probe touches a handful of candidates, so `exec` is
+/// not used; it is accepted so every S2T phase has the same `_with` shape.
 pub fn select_representatives_with(
     subs: &[VotedSubTrajectory],
     params: &S2TParams,
-    exec: &Executor,
+    _exec: &Executor,
 ) -> Vec<usize> {
-    if subs.is_empty() {
-        return Vec::new();
-    }
+    let tree = PackedRTree::bulk_load(
+        subs.iter()
+            .enumerate()
+            .map(|(i, s)| (s.sub.mbb(), i as u32))
+            .collect(),
+    );
+    let radius = 2.0 * params.epsilon * PROBE_MARGIN;
+    greedy(subs, params, |pick, visit| {
+        tree.for_each_ball_candidate_idx(&subs[pick].sub.mbb(), radius, |j, _| {
+            visit(*tree.value(j) as usize)
+        })
+    })
+}
+
+/// The oracle of [`select_representatives_with`]: the same greedy selection
+/// with every candidate considered after every pick — the quadratic,
+/// index-free loop the naive pipeline runs.
+pub fn select_representatives_naive(subs: &[VotedSubTrajectory], params: &S2TParams) -> Vec<usize> {
+    greedy(subs, params, |_, visit| (0..subs.len()).for_each(visit))
+}
+
+/// The greedy maximum-coverage loop. `near(pick, visit)` calls `visit` on
+/// (at least) every candidate whose gain or eligibility the new pick can
+/// change.
+fn greedy(
+    subs: &[VotedSubTrajectory],
+    params: &S2TParams,
+    mut near: impl FnMut(usize, &mut dyn FnMut(usize)),
+) -> Vec<usize> {
     let limit = if params.max_representatives == 0 {
         usize::MAX
     } else {
         params.max_representatives
     };
-
-    let base: Vec<f64> = subs.iter().map(|s| s.representativeness()).collect();
-    let mut selected: Vec<usize> = Vec::new();
     // Residual gain of each candidate, updated as representatives are picked.
-    let mut gain: Vec<f64> = base.clone();
-    // A candidate within ε of an already selected representative would be a
-    // member of its cluster anyway; it can never become a seed itself.
-    let mut eligible: Vec<bool> = vec![true; subs.len()];
-    let mut first_gain: Option<f64> = None;
+    let mut gain: Vec<f64> = subs.iter().map(|s| s.representativeness()).collect();
+    // Neither taken nor within ε of a taken representative (such a
+    // candidate would be a member of its cluster anyway, so it can never
+    // become a seed itself).
+    let mut open = vec![true; subs.len()];
+    let mut first_gain = None;
+    let mut selected = Vec::new();
 
     while selected.len() < limit {
-        // Pick the eligible candidate with the highest residual gain.
-        let mut best_idx = None;
-        let mut best_gain = 0.0f64;
-        for (i, &g) in gain.iter().enumerate() {
-            if !eligible[i] || selected.contains(&i) {
-                continue;
-            }
-            if g > best_gain {
-                best_gain = g;
-                best_idx = Some(i);
-            }
+        let Some((idx, g)) = best_open(&gain, &open) else {
+            break;
+        };
+        if !admit(subs[idx].mean_vote, g, &mut first_gain, params.delta) {
+            break;
         }
-        let Some(idx) = best_idx else { break };
-
-        match first_gain {
-            None => {
-                // Never select a zero-vote seed: a dataset where nothing
-                // co-moves has no clusters, only outliers.
-                if subs[idx].mean_vote <= 0.0 {
-                    break;
-                }
-                first_gain = Some(best_gain);
-            }
-            Some(fg) => {
-                if best_gain < params.delta * fg || subs[idx].mean_vote <= 0.0 {
-                    break;
-                }
-            }
-        }
-
         selected.push(idx);
-        // Discount the remaining candidates by their overlap with the new
-        // pick, and retire those already covered by it. The distance
-        // evaluations are independent per candidate, so on a parallel
-        // executor they fan out and the updates are applied in index order —
-        // the same order the serial in-place sweep produces.
-        if exec.is_parallel() {
-            let updates: Vec<Option<(f64, bool)>> = exec.map_indices(subs.len(), |i| {
-                if !eligible[i] || selected.contains(&i) {
-                    return None;
-                }
-                let d = spatiotemporal_distance(&subs[i].sub, &subs[idx].sub);
-                if d <= params.epsilon {
-                    return Some((0.0, false));
-                }
-                let overlap = coverage_overlap(&subs[i], &subs[idx], params.epsilon);
-                Some((gain[i] * (1.0 - overlap), true))
-            });
-            for (i, update) in updates.into_iter().enumerate() {
-                match update {
-                    Some((g, true)) => gain[i] = g,
-                    Some((_, false)) => eligible[i] = false,
-                    None => {}
-                }
+        open[idx] = false;
+        // Discount the open candidates by their overlap with the new pick,
+        // and retire those it already covers.
+        let pick = &subs[idx].sub;
+        near(idx, &mut |i| {
+            if !open[i] {
+                return;
             }
-        } else {
-            for (i, g) in gain.iter_mut().enumerate() {
-                if !eligible[i] || selected.contains(&i) {
-                    continue;
-                }
-                let d = spatiotemporal_distance(&subs[i].sub, &subs[idx].sub);
-                if d <= params.epsilon {
-                    eligible[i] = false;
-                    continue;
-                }
-                let overlap = coverage_overlap(&subs[i], &subs[idx], params.epsilon);
-                *g *= 1.0 - overlap;
+            let d = spatiotemporal_distance(&subs[i].sub, pick);
+            if d <= params.epsilon {
+                open[i] = false;
+            } else {
+                gain[i] *= 1.0 - coverage_overlap(d, params.epsilon);
             }
-        }
+        });
     }
     selected
 }
@@ -169,6 +186,14 @@ mod tests {
         }
     }
 
+    /// Runs the production path and the oracle, checks they agree, and
+    /// returns the selection.
+    fn select(subs: &[VotedSubTrajectory], params: &S2TParams) -> Vec<usize> {
+        let fast = select_representatives(subs, params);
+        assert_eq!(fast, select_representatives_naive(subs, params));
+        fast
+    }
+
     #[test]
     fn picks_the_highest_voted_first() {
         let subs = vec![
@@ -176,7 +201,7 @@ mod tests {
             voted(2, 1_000.0, 0, 10, 5.0),
             voted(3, 2_000.0, 0, 10, 3.0),
         ];
-        let sel = select_representatives(&subs, &params(100.0, 0.05, 0));
+        let sel = select(&subs, &params(100.0, 0.05, 0));
         assert_eq!(sel[0], 1, "highest voted candidate must be selected first");
         assert_eq!(sel.len(), 3, "well separated candidates are all selected");
     }
@@ -189,7 +214,7 @@ mod tests {
             voted(2, 1.0, 0, 10, 4.9),
             voted(3, 10_000.0, 0, 10, 2.0),
         ];
-        let sel = select_representatives(&subs, &params(100.0, 0.2, 0));
+        let sel = select(&subs, &params(100.0, 0.2, 0));
         assert!(sel.contains(&0));
         assert!(sel.contains(&2));
         assert!(
@@ -201,7 +226,7 @@ mod tests {
     #[test]
     fn zero_votes_produce_no_representatives() {
         let subs = vec![voted(1, 0.0, 0, 10, 0.0), voted(2, 50.0, 0, 10, 0.0)];
-        assert!(select_representatives(&subs, &params(100.0, 0.05, 0)).is_empty());
+        assert!(select(&subs, &params(100.0, 0.05, 0)).is_empty());
     }
 
     #[test]
@@ -209,7 +234,7 @@ mod tests {
         let subs: Vec<VotedSubTrajectory> = (0..10)
             .map(|i| voted(i, i as f64 * 5_000.0, 0, 10, 3.0))
             .collect();
-        let sel = select_representatives(&subs, &params(100.0, 0.0, 4));
+        let sel = select(&subs, &params(100.0, 0.0, 4));
         assert_eq!(sel.len(), 4);
     }
 
@@ -221,7 +246,7 @@ mod tests {
         for i in 1..6 {
             subs.push(voted(i, i as f64, 0, 20, 9.0));
         }
-        let sel = select_representatives(&subs, &params(500.0, 0.5, 0));
+        let sel = select(&subs, &params(500.0, 0.5, 0));
         assert_eq!(
             sel.len(),
             1,
@@ -231,7 +256,7 @@ mod tests {
 
     #[test]
     fn empty_input_is_fine() {
-        assert!(select_representatives(&[], &params(100.0, 0.05, 0)).is_empty());
+        assert!(select(&[], &params(100.0, 0.05, 0)).is_empty());
     }
 
     #[test]
@@ -241,7 +266,53 @@ mod tests {
             voted(1, 0.0, 0, 10, 3.0),
             voted(2, 0.0, 86_400_000, 10, 3.0),
         ];
-        let sel = select_representatives(&subs, &params(100.0, 0.05, 0));
+        let sel = select(&subs, &params(100.0, 0.05, 0));
         assert_eq!(sel.len(), 2);
+    }
+
+    #[test]
+    fn a_box_gap_of_exactly_two_epsilon_is_evaluated_and_discounts_nothing() {
+        // B sits exactly 2ε from A for its whole life: the probe visits it
+        // (gap² = (2ε)²), its overlap is exactly 0, and its gain stays its
+        // own — so it outranks the higher-voted C, which A partly covers.
+        // D, exactly ε from A, is retired outright.
+        let subs = vec![
+            voted(1, 0.0, 0, 10, 5.0),
+            voted(2, 200.0, 0, 10, 3.0),
+            voted(3, 150.0, 0, 10, 3.5),
+            voted(4, -100.0, 0, 10, 4.9),
+        ];
+        let sel = select(&subs, &params(100.0, 0.0, 0));
+        assert_eq!(sel[..2], [0, 1], "{sel:?}");
+        assert!(!sel.contains(&3), "{sel:?}");
+    }
+
+    #[test]
+    fn lifespans_touching_at_one_instant_never_cover_each_other() {
+        // Same place, the second starts the instant the first ends: the
+        // common lifespan is empty, the distance is ∞.
+        let subs = vec![
+            voted(1, 0.0, 0, 10, 3.0),
+            voted(2, 0.0, 9 * 60_000, 10, 3.0),
+        ];
+        assert_eq!(select(&subs, &params(100.0, 0.05, 0)), vec![0, 1]);
+    }
+
+    #[test]
+    fn a_single_candidate_is_its_own_representative() {
+        let subs = vec![voted(1, 0.0, 0, 10, 1.0)];
+        assert_eq!(select(&subs, &params(100.0, 0.05, 0)), vec![0]);
+        assert_eq!(select(&subs, &params(100.0, 0.05, 1)), vec![0]);
+    }
+
+    #[test]
+    fn caps_apply_on_both_paths() {
+        let subs: Vec<VotedSubTrajectory> = (0..10)
+            .map(|i| voted(i, i as f64 * 150.0, 0, 10, 3.0 + i as f64 * 0.1))
+            .collect();
+        for cap in 1..=10 {
+            let sel = select(&subs, &params(100.0, 0.0, cap));
+            assert!(sel.len() <= cap, "{cap}: {sel:?}");
+        }
     }
 }

@@ -1516,4 +1516,29 @@ mod tests {
         let err = read_handshake(&mut &buf[..3]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
+
+    /// The SQL layer rejects an oversized `HISTOGRAM` up front from its row
+    /// count; that budget must be this protocol's cap and its row size what
+    /// a histogram row encodes to.
+    #[test]
+    fn sql_frame_budget_matches_the_wire() {
+        assert_eq!(hermes_sql::MAX_FRAME_BYTES, u64::from(MAX_MESSAGE_BYTES));
+        let mut frame = Frame::new(vec![
+            ColumnDef::new("bucket_start", ValueType::Timestamp),
+            ColumnDef::new("cluster", ValueType::Int),
+            ColumnDef::new("cardinality", ValueType::Int),
+        ]);
+        let mut empty = Writer::new();
+        write_frame_payload(&mut empty, &frame);
+        frame
+            .push_row(vec![
+                Value::Timestamp(hermes_trajectory::Timestamp(i64::MIN)),
+                Value::Int(-1),
+                Value::Int(i64::MAX),
+            ])
+            .unwrap();
+        let mut one = Writer::new();
+        write_frame_payload(&mut one, &frame);
+        assert_eq!(one.buf.len() - empty.buf.len(), 27);
+    }
 }

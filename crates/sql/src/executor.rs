@@ -532,6 +532,7 @@ pub fn execute_read_statement(
                 ..QutParams::default()
             };
             let (result, _) = engine.run_qut(name, &w, &params)?;
+            check_histogram_size(&result, bucket_ms)?;
             Ok(QueryOutcome::rows(histogram_frame(&result, bucket_ms)))
         }
     }
@@ -573,6 +574,32 @@ pub fn range_frame(count: usize) -> Frame {
     let mut frame = Frame::with_columns(&[("sub_trajectories_in_window", ValueType::Int)]);
     push(&mut frame, vec![Value::Int(count as i64)]);
     frame
+}
+
+/// The largest answer frame a statement may produce, in wire bytes: the
+/// protocol's message cap (`hermes-server`'s `MAX_MESSAGE_BYTES`, whose
+/// tests assert the two are equal).
+pub const MAX_FRAME_BYTES: u64 = 64 * 1024 * 1024;
+
+/// Wire bytes of one `HISTOGRAM` row: three fixed-width values of a type
+/// byte plus 8 payload bytes each.
+const HISTOGRAM_ROW_BYTES: u64 = 3 * 9;
+
+/// Rejects a `HISTOGRAM` whose frame could not fit [`MAX_FRAME_BYTES`]
+/// before any of it is built: the row count (`buckets × (clusters + 1)`)
+/// comes from the result's extent alone, so a 1 ms bucket over a day of
+/// data is a typed `InvalidParameters` error, not gigabytes of rows.
+pub fn check_histogram_size(result: &ClusteringResult, bucket_ms: i64) -> Result<(), SqlError> {
+    let rows = hermes_va::histogram_cells(result, Duration::from_millis(bucket_ms));
+    let bytes = rows.saturating_mul(HISTOGRAM_ROW_BYTES);
+    if bytes > MAX_FRAME_BYTES {
+        return Err(SqlError::Engine(EngineError::InvalidParameters(format!(
+            "HISTOGRAM with {bucket_ms} ms buckets would return {rows} rows \
+             ({bytes} bytes), over the {MAX_FRAME_BYTES}-byte frame cap; \
+             use wider buckets or a narrower window"
+        ))));
+    }
+    Ok(())
 }
 
 /// Renders the `HISTOGRAM` answer frame (one row per bucket × cluster, plus a
@@ -778,6 +805,29 @@ mod tests {
             execute(&mut e, "SELECT HISTOGRAM(flights, 0, 1800000, 0);"),
             Err(SqlError::Engine(EngineError::InvalidParameters(_)))
         ));
+    }
+
+    #[test]
+    fn an_oversized_histogram_is_rejected_before_it_is_built() {
+        let mut e = engine();
+        execute(&mut e, "BUILD INDEX ON flights WITH CHUNK 4 HOURS;").unwrap();
+        // One 30-minute bucket: one row per cluster plus the outlier row.
+        let per_bucket = execute(&mut e, "SELECT HISTOGRAM(flights, 0, 1800000, 1800000);")
+            .unwrap()
+            .num_rows() as u64;
+        // 1 ms buckets over the 29-minute extent: 1,740,001 buckets of
+        // `per_bucket` 27-byte rows, past the 64 MiB frame cap but small
+        // enough (a few hundred MB) that an unchecked build finishes.
+        let rows = 1_740_001 * per_bucket;
+        assert!(rows * 27 > MAX_FRAME_BYTES && rows < 6_000_000, "{rows}");
+        let err = execute(&mut e, "SELECT HISTOGRAM(flights, 0, 1800000, 1);").unwrap_err();
+        assert!(
+            matches!(&err, SqlError::Engine(EngineError::InvalidParameters(m))
+                if m.contains(&format!("{rows} rows")) && m.contains("frame cap")),
+            "{err}"
+        );
+        // Wide enough buckets still answer.
+        assert!(execute(&mut e, "SELECT HISTOGRAM(flights, 0, 1800000, 60000);").is_ok());
     }
 
     #[test]

@@ -60,10 +60,10 @@ pub mod value;
 
 pub use backend::EngineBackend;
 pub use executor::{
-    clusters_frame, execute, execute_read_statement, execute_statement, histogram_frame,
-    info_frame, is_write_statement, push_stat, push_trace_span, push_trace_summary,
-    qut_stats_frame, range_frame, s2t_stats_frame, sort_stats_rows, stats_frame, trace_frame,
-    traces_frame, SqlError,
+    check_histogram_size, clusters_frame, execute, execute_read_statement, execute_statement,
+    histogram_frame, info_frame, is_write_statement, push_stat, push_trace_span,
+    push_trace_summary, qut_stats_frame, range_frame, s2t_stats_frame, sort_stats_rows,
+    stats_frame, trace_frame, traces_frame, SqlError, MAX_FRAME_BYTES,
 };
 pub use frame::{ColumnDef, CommandStatus, CommandTag, Frame, QueryOutcome};
 pub use parser::{parse, ParseError, Scalar, Statement};

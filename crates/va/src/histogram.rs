@@ -58,24 +58,43 @@ impl TimeHistogram {
     }
 }
 
+/// The temporal extent of a clustering result (union of every cluster's and
+/// outlier's lifespan); `None` when the result is empty.
+fn extent(result: &ClusteringResult) -> Option<TimeInterval> {
+    result
+        .clusters
+        .iter()
+        .map(|c| c.lifespan())
+        .chain(result.outliers.iter().map(|o| o.lifespan()))
+        .reduce(|a, b| a.union(&b))
+}
+
+/// The first bucket start and the bucket count of the grid of `width`-ms
+/// buckets covering `extent` (in `i128`, so no extent overflows it).
+fn bucket_grid(extent: &TimeInterval, width: i64) -> (i64, i128) {
+    let first = extent.start.millis().div_euclid(width) * width;
+    let buckets = (extent.end.millis() as i128 - first as i128) / width as i128 + 1;
+    (first, buckets)
+}
+
+/// How many `(bucket, cluster)` cells — one per cluster plus the outlier
+/// row, per bucket — [`time_histogram`] would produce, computed from the
+/// result's extent without allocating any of them (saturating at
+/// `u64::MAX`). Callers with an output budget check it first.
+pub fn histogram_cells(result: &ClusteringResult, bucket_width: Duration) -> u64 {
+    assert!(bucket_width.millis() > 0, "bucket width must be positive");
+    let Some(extent) = extent(result) else {
+        return 0;
+    };
+    let (_, buckets) = bucket_grid(&extent, bucket_width.millis());
+    let cells = buckets.saturating_mul(result.clusters.len() as i128 + 1);
+    u64::try_from(cells).unwrap_or(u64::MAX)
+}
+
 /// Builds the stacked time histogram of a clustering result.
 pub fn time_histogram(result: &ClusteringResult, bucket_width: Duration) -> TimeHistogram {
     assert!(bucket_width.millis() > 0, "bucket width must be positive");
-    // Overall extent.
-    let mut extent: Option<TimeInterval> = None;
-    let mut expand = |span: TimeInterval| {
-        extent = Some(match extent {
-            None => span,
-            Some(e) => e.union(&span),
-        });
-    };
-    for c in &result.clusters {
-        expand(c.lifespan());
-    }
-    for o in &result.outliers {
-        expand(o.lifespan());
-    }
-    let Some(extent) = extent else {
+    let Some(extent) = extent(result) else {
         return TimeHistogram {
             bucket_starts: Vec::new(),
             bucket_width,
@@ -85,8 +104,8 @@ pub fn time_histogram(result: &ClusteringResult, bucket_width: Duration) -> Time
     };
 
     let width = bucket_width.millis();
-    let first = extent.start.millis().div_euclid(width) * width;
-    let num_buckets = ((extent.end.millis() - first) / width + 1) as usize;
+    let (first, num_buckets) = bucket_grid(&extent, width);
+    let num_buckets = num_buckets as usize;
     let bucket_starts: Vec<Timestamp> = (0..num_buckets)
         .map(|i| Timestamp(first + i as i64 * width))
         .collect();
@@ -201,6 +220,27 @@ mod tests {
         assert_eq!(h.num_buckets(), 0);
         assert!(h.peak_bucket().is_none());
         assert_eq!(h.to_csv().lines().count(), 1);
+    }
+
+    #[test]
+    fn cell_count_matches_the_histogram_without_building_it() {
+        for hours in [1, 2, 7] {
+            let h = time_histogram(&result(), Duration::from_hours(hours));
+            let cells = h.num_buckets() * (h.counts.len() + 1);
+            assert_eq!(
+                histogram_cells(&result(), Duration::from_hours(hours)),
+                cells as u64
+            );
+        }
+        assert_eq!(
+            histogram_cells(&ClusteringResult::default(), Duration::from_millis(1)),
+            0
+        );
+        // 1 ms buckets over the 3 h extent: counted, never allocated.
+        assert_eq!(
+            histogram_cells(&result(), Duration::from_millis(1)),
+            (10_800_000 + 1) * 3
+        );
     }
 
     #[test]

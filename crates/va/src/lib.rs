@@ -26,6 +26,6 @@ pub mod map;
 
 pub use compare::{compare_runs, RunComparison};
 pub use cube::space_time_cube_csv;
-pub use histogram::{time_histogram, TimeHistogram};
+pub use histogram::{histogram_cells, time_histogram, TimeHistogram};
 pub use holding::{detect_holding_patterns, HoldingPattern};
 pub use map::{cluster_map_csv, cluster_map_svg};

@@ -5,12 +5,18 @@
 //! quadratic `naive_voting` the paper compares against. On seeded urban,
 //! maritime and aircraft datasets, at 1, 4 and 8 compute threads, both must
 //! agree **exactly** — same `f64` bits in every vote — and the arena-backed
-//! pipeline must reproduce the oracle's voting verbatim end to end.
+//! pipeline must reproduce the oracle's voting verbatim end to end. SaCO
+//! is held to the same standard: sampling and clustering probe packed
+//! R-trees of sub-trajectory boxes and must pick the oracle's
+//! representatives and return its `ClusteringResult` bit for bit.
 
 use hermes::exec::{ExecPolicy, Executor};
 use hermes::prelude::*;
 use hermes::s2t::{
-    arena_voting_with, naive_voting_with, run_s2t, PackedSegmentIndex, SegmentArena, VotingProfile,
+    arena_voting_with, cluster_around_representatives_naive, cluster_around_representatives_with,
+    naive_voting_with, run_s2t, segment_all, select_representatives_naive,
+    select_representatives_with, PackedSegmentIndex, SegmentArena, VotedSubTrajectory,
+    VotingProfile,
 };
 
 fn urban_trajectories() -> Vec<Trajectory> {
@@ -219,6 +225,106 @@ fn lower_bounds_never_exceed_exact_distance() {
         // Uniform pair sampling finds fewer temporal overlaps on workloads
         // with a wide departure spread (maritime); a couple of hundred live
         // pairs per dataset still exercises every branch of the bound.
+        assert!(
+            overlapping > 100,
+            "{name}: too few overlapping pairs ({overlapping}) for the sweep to mean anything"
+        );
+    }
+}
+
+/// The voted sub-trajectories SaCO starts from, per workload.
+fn voted_subs(trajs: &[Trajectory], params: &S2TParams) -> Vec<VotedSubTrajectory> {
+    let arena = SegmentArena::build(trajs);
+    let packed = PackedSegmentIndex::build(&arena);
+    let profiles = arena_voting_with(&arena, &packed, params, &Executor::serial());
+    segment_all(trajs, &profiles, params)
+}
+
+fn distance_bits(result: &ClusteringResult) -> Vec<Vec<u64>> {
+    result
+        .clusters
+        .iter()
+        .map(|c| c.member_distances.iter().map(|d| d.to_bits()).collect())
+        .collect()
+}
+
+#[test]
+fn saco_is_bit_identical_to_the_oracle() {
+    for (name, trajs, params) in workloads() {
+        let subs = voted_subs(&trajs, &params);
+        let reps = select_representatives_naive(&subs, &params);
+        let oracle = cluster_around_representatives_naive(&subs, &reps, &params);
+        let members: usize = oracle.clusters.iter().map(|c| c.members.len()).sum();
+        assert!(
+            reps.len() >= 2 && members >= 2,
+            "{name}: {} representatives, {members} members — too few to mean anything",
+            reps.len()
+        );
+        for threads in THREAD_COUNTS {
+            let exec = Executor::new(ExecPolicy { threads });
+            let label = format!("{name}@{threads}");
+            assert_eq!(
+                select_representatives_with(&subs, &params, &exec),
+                reps,
+                "{label}: representatives"
+            );
+            let result = cluster_around_representatives_with(&subs, &reps, &params, &exec);
+            assert_eq!(result, oracle, "{label}: clustering result");
+            assert_eq!(
+                distance_bits(&result),
+                distance_bits(&oracle),
+                "{label}: member distance bits"
+            );
+        }
+    }
+}
+
+/// Admissibility of the SaCO probes' skip rule: for seeded sub-trajectory
+/// pairs from every workload, the spatial gap between the two boxes must
+/// never exceed their spatio-temporal distance — in the squared form the
+/// probe compares (`gap² ≤ d²`), so a probe that skipped a pair the oracle
+/// would have discounted or clustered fails here.
+#[test]
+fn subtrajectory_box_gap_never_exceeds_spatiotemporal_distance() {
+    use hermes::gist::axis_gap;
+    use hermes::trajectory::spatiotemporal_distance;
+
+    for (name, trajs, params) in workloads() {
+        let subs = voted_subs(&trajs, &params);
+        let mut state = 0x5AC0_u64 ^ (subs.len() as u64).rotate_left(17);
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+
+        let mut overlapping = 0usize;
+        for draw in 0..20_000usize {
+            let ai = next() % subs.len();
+            // Alternate uniform pairs with near-index pairs (the same or an
+            // adjacent trajectory, where temporal overlap is common).
+            let bi = if draw % 2 == 0 {
+                next() % subs.len()
+            } else {
+                (ai + next() % 17 + subs.len() - 8) % subs.len()
+            };
+            let (a, b) = (&subs[ai].sub, &subs[bi].sub);
+            let d = spatiotemporal_distance(a, b);
+            if !d.is_finite() {
+                continue;
+            }
+            overlapping += 1;
+            let (ba, bb) = (a.mbb(), b.mbb());
+            let gx = axis_gap(ba.x_min, ba.x_max, bb.x_min, bb.x_max);
+            let gy = axis_gap(ba.y_min, ba.y_max, bb.y_min, bb.y_max);
+            let gap2 = gx * gx + gy * gy;
+            assert!(
+                gap2 <= d * d,
+                "{name}: box gap² {gap2} exceeds spatio-temporal distance² {}",
+                d * d
+            );
+        }
         assert!(
             overlapping > 100,
             "{name}: too few overlapping pairs ({overlapping}) for the sweep to mean anything"
